@@ -13,7 +13,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import coefficients, conditions, verify
-from .coefficients import CATALOG, builtin_catalog, load_spec_file
+from .coefficients import CATALOG, builtin_catalog, load_spec_file, spec_from_dict, spec_to_dict
+from .dilatation import jacobian, tangential_dilatation
 from .errors import BeltramiLabError, BoundViolation, ConfigError
 from .linear_solver import save_solution
 from .quasilinear import SolverConfig, solve_quasilinear
@@ -146,12 +146,7 @@ def cmd_solve(args, file_cfg):
         solution,
         out,
         extra_meta={
-            "spec": {
-                "label": spec.label,
-                "mu": coefficients.format_expression(spec.mu_expr),
-                "nu": coefficients.format_expression(spec.nu_expr),
-                "support_radius": spec.support_radius,
-            },
+            "spec": spec_to_dict(spec),
             "quasi_residual": report.quasi_residual,
             "degenerate_samples": report.degenerate_samples,
         },
@@ -175,13 +170,7 @@ def cmd_verify(args, file_cfg):
     if args.spec:
         spec = _resolve_spec(args.spec)
     elif "spec" in meta:
-        sp = meta["spec"]
-        spec = coefficients.CoefficientSpec(
-            mu_expr=coefficients.parse_coefficient_expr(sp["mu"]),
-            nu_expr=coefficients.parse_coefficient_expr(sp["nu"]),
-            support_radius=sp["support_radius"],
-            label=sp.get("label", ""),
-        )
+        spec = spec_from_dict(meta["spec"])
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
     report = verify.verification_report(solution, spec)
@@ -189,8 +178,7 @@ def cmd_verify(args, file_cfg):
     if args.heatmaps:
         res_field, _ = verify.residual(solution, spec)
         write_ppm(np.abs(res_field.data), out / "residual.ppm")
-        J = np.abs(solution.fz.data) ** 2 - np.abs(solution.fzbar.data) ** 2
-        write_ppm(J, out / "jacobian.ppm")
+        write_ppm(jacobian(solution.fz.data, solution.fzbar.data), out / "jacobian.ppm")
     print(f"residual {report.residual_l2_rel:.3e} "
           f"(sup {report.residual_sup:.3e}, degenerate samples {report.degenerate_samples})")
     print(f"jacobian min {report.jacobian['min']:.3e}, "
@@ -227,8 +215,6 @@ def cmd_example(args, file_cfg):
     _write_ladder_csv(div_q1, out / "I-of-eps-Q1.csv")
 
     # tangential dilatation samples for both phase variants at r=0.3, |w|=0.2
-    from .dilatation import tangential_dilatation
-
     r_probe, w_probe = 0.3, 0.2
     kt = {}
     for name in ("paper-example-sec4", "paper-example-sec4-phase2"):
@@ -271,12 +257,7 @@ def cmd_example(args, file_cfg):
             "orientation_flips": vrep.injectivity["orientation_flips"],
         }
         save_solution(solution, out / "solution", extra_meta={
-            "spec": {
-                "label": spec.label,
-                "mu": coefficients.format_expression(spec.mu_expr),
-                "nu": coefficients.format_expression(spec.nu_expr),
-                "support_radius": spec.support_radius,
-            },
+            "spec": spec_to_dict(spec),
         })
         report.to_json(out / "solution" / "ladder.json")
         flips = vrep.injectivity["orientation_flips"]
@@ -348,8 +329,6 @@ def build_parser():
 
 
 def main(argv=None):
-    if "BELTRAMI_THREADS" in os.environ:
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["BELTRAMI_THREADS"])
     parser = build_parser()
     args = parser.parse_args(argv)
     file_cfg = {}

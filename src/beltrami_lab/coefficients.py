@@ -247,15 +247,33 @@ def builtin_catalog(name: str, params=()) -> CoefficientSpec:
 
 
 # ---------------------------------------------------------------------------
-# spec files: flat key = value text
+# serialization: a flat dict of strings and the support radius, written into
+# solution archives and, as key = value text, into spec files
+
+def spec_to_dict(spec: CoefficientSpec) -> dict:
+    """The label, printed mu and nu, and support radius of a spec (truncations are dropped)."""
+    return {
+        "label": spec.label,
+        "mu": format_expression(spec.mu_expr),
+        "nu": format_expression(spec.nu_expr),
+        "support_radius": spec.support_radius,
+    }
+
+
+def spec_from_dict(fields: dict) -> CoefficientSpec:
+    """Inverse of spec_to_dict; nu defaults to 0 and label to empty."""
+    return CoefficientSpec(
+        mu_expr=parse_coefficient_expr(fields["mu"]),
+        nu_expr=parse_coefficient_expr(fields.get("nu", "0")),
+        support_radius=float(fields["support_radius"]),
+        label=fields.get("label", ""),
+    )
+
 
 def save_spec_file(spec: CoefficientSpec, path):
-    lines = [
-        f'label = "{spec.label}"',
-        f'mu = "{format_expression(spec.mu_expr)}"',
-        f'nu = "{format_expression(spec.nu_expr)}"',
-        f"support_radius = {spec.support_radius!r}",
-    ]
+    fields = spec_to_dict(spec)
+    lines = [f'{key} = "{fields[key]}"' for key in ("label", "mu", "nu")]
+    lines.append(f"support_radius = {fields['support_radius']!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -274,9 +292,4 @@ def load_spec_file(path) -> CoefficientSpec:
     missing = {"mu", "support_radius"} - fields.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(fields["mu"]),
-        nu_expr=parse_coefficient_expr(fields.get("nu", "0")),
-        support_radius=float(fields["support_radius"]),
-        label=fields.get("label", ""),
-    )
+    return spec_from_dict(fields)

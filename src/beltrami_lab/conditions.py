@@ -309,32 +309,13 @@ class ConditionReport:
     bound_samples: int
     max_k_minus_q: float
     max_kt_minus_q1: float
-    q_divergence: DivergenceReport = None
     probes: list = field(default_factory=list)
-    psi: PsiReport = None
 
     def to_dict(self):
-        def conv(obj):
-            if isinstance(obj, (DivergenceReport, FmoReport, PsiReport)):
-                return asdict(obj)
-            if isinstance(obj, ProbeResult):
-                return {
-                    "z0": [obj.z0.real, obj.z0.imag],
-                    "fmo": asdict(obj.fmo),
-                    "divergence": asdict(obj.divergence),
-                    "hypothesis_ok": obj.hypothesis_ok,
-                }
-            return obj
-
-        return {
-            "label": self.label,
-            "bound_samples": self.bound_samples,
-            "max_k_minus_q": self.max_k_minus_q,
-            "max_kt_minus_q1": self.max_kt_minus_q1,
-            "q_divergence": conv(self.q_divergence) if self.q_divergence else None,
-            "probes": [conv(p) for p in self.probes],
-            "psi": conv(self.psi) if self.psi else None,
-        }
+        payload = asdict(self)
+        for probe in payload["probes"]:
+            probe["z0"] = [probe["z0"].real, probe["z0"].imag]
+        return payload
 
 
 def _w_samples(w_max: float):

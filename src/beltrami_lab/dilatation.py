@@ -11,7 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateBase
-from .grid import DerivativePair, GridField
+
+# |mu| + |nu| within this margin of 1 counts as degenerate: a sum that is 1
+# in exact arithmetic can round to 1 - 1.1e-16 (K ~ 1.8e16)
+ELLIPTIC_MARGIN = 1e-12
 
 
 def _maybe_scalar(x, scalar):
@@ -24,6 +27,11 @@ def maximal_dilatation(mu, nu):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(s < 1.0, (1.0 + s) / np.where(s < 1.0, 1.0 - s, 1.0), np.inf)
     return _maybe_scalar(out, np.isscalar(mu) and np.isscalar(nu))
+
+
+def elliptic_mask(mu, nu):
+    """True where |mu| + |nu| < 1 - ELLIPTIC_MARGIN; False at degenerate and non-finite samples."""
+    return np.abs(mu) + np.abs(nu) < 1.0 - ELLIPTIC_MARGIN
 
 
 def tangential_dilatation(mu, nu, z, z0, theta):
@@ -39,6 +47,10 @@ def tangential_dilatation(mu, nu, z, z0, theta):
         1j * np.asarray(theta)
     )
     dz = z - z0
+    # conj(dz)/dz overflows when |dz| is subnormal; an exact power-of-two
+    # rescale to |component| in [0.5, 1) leaves the quotient's bits unchanged
+    _, e = np.frexp(np.maximum(np.abs(dz.real), np.abs(dz.imag)))
+    dz = np.ldexp(dz.real, -e) + 1j * np.ldexp(dz.imag, -e)
     num = np.abs(1.0 - (np.conj(dz) / dz) * u) ** 2
     den = 1.0 - np.abs(u) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -86,21 +98,3 @@ def effective_single_coefficient(mu, nu, ratio):
     exceeds the two-characteristic one.
     """
     return mu + ratio * nu
-
-
-DILATATION_CAP = 1e300
-
-
-def map_dilatation_field(pair: DerivativePair) -> GridField:
-    """Grid of map dilatations (imaginary part zero).
-
-    GridField samples must stay finite, so +inf dilatations are capped
-    at DILATATION_CAP in the exported field.
-    """
-    vals = map_dilatation(pair.fz.data, pair.fzbar.data)
-    return GridField(pair.fz.L, np.minimum(vals, DILATATION_CAP).astype(complex))
-
-
-def jacobian_field(pair: DerivativePair) -> GridField:
-    """Grid of Jacobians (imaginary part zero)."""
-    return GridField(pair.fz.L, jacobian(pair.fz.data, pair.fzbar.data).astype(complex))

@@ -42,7 +42,7 @@ class ParamOutOfRange(BeltramiLabError):
     """Catalog parameter outside its documented range."""
 
 
-class SupportTooLarge(BeltramiLabError):
+class SupportTooLarge(BeltramiLabError, ValueError):
     """Field support violates the padding precondition of the transforms."""
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import grid
 from .errors import DegenerateNormalization, MaxIterations, NotContractive
 from .grid import GridField
-from .transforms import beurling_transform, cauchy_transform
+from .transforms import _check_support, beurling_transform, cauchy_transform
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,7 @@ class LinearProblem:
                 f"coefficients exceed the declared bound: max |mu|+|nu| = {smax:.6g} "
                 f"> k_bound = {self.k_bound:.6g}"
             )
-        # support must stay inside the concentric half-box
-        jj, kk = np.nonzero(s > 0)
-        if len(jj):
-            ax = -self.mu.L + self.mu.h * np.arange(self.mu.n)
-            reach = max(
-                abs(ax[jj.min()]), abs(ax[jj.max()]), abs(ax[kk.min()]), abs(ax[kk.max()])
-            )
-            if reach >= self.mu.L / 2 + self.mu.h:
-                raise ValueError(
-                    f"coefficient support reaches {reach:.3g}, outside the half-box "
-                    f"{self.mu.L / 2:.3g}; enlarge the box"
-                )
+        _check_support(s, self.mu.L)
 
 
 @dataclass
@@ -67,20 +56,23 @@ class IterationTrace:
     """Per-step L2 update norms of the Picard iteration."""
 
     update_norms: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)  # recorded from step 2 on
     steps: int = 0
     converged: bool = False
 
     def record(self, update_norm: float):
-        if self.update_norms and self.update_norms[-1] > 0:
-            self.ratios.append(update_norm / self.update_norms[-1])
         self.update_norms.append(update_norm)
         self.steps += 1
 
     @property
+    def ratios(self):
+        """Consecutive update ratios, from step 2 on (skipping zero updates)."""
+        norms = self.update_norms
+        return [b / a for a, b in zip(norms, norms[1:]) if a > 0]
+
+    @property
     def contraction_estimate(self):
         """Conservative contraction factor: the largest observed update ratio."""
-        return max(self.ratios) if self.ratios else None
+        return max(self.ratios, default=None)
 
 
 @dataclass
@@ -103,10 +95,6 @@ class Solution:
     residual_l2_rel: float
     support_radius: float
     label: str = ""
-
-    @property
-    def derivative_pair(self):
-        return grid.DerivativePair(self.fz, self.fzbar)
 
 
 def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
@@ -210,10 +198,7 @@ def load_solution(indir) -> Solution:
         meta = json.load(fh)
     tr = meta["trace"]
     trace = IterationTrace(
-        update_norms=tr["update_norms"],
-        ratios=tr["ratios"],
-        steps=tr["steps"],
-        converged=tr["converged"],
+        update_norms=tr["update_norms"], steps=tr["steps"], converged=tr["converged"]
     )
     nm = meta["normalization"]
     norm = Normalization(

@@ -14,14 +14,16 @@ convergence of the truncated solutions).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .coefficients import BY_K, BY_Q, CoefficientSpec, TruncationPredicate, coefficient_fields, truncate_spec
+from .dilatation import elliptic_mask
 from .errors import EmptyCompact, NotContractive, OuterDivergence
 from .grid import GridField, coordinates
-from .linear_solver import LinearProblem, Solution, solve_linear
+from .linear_solver import LinearProblem, solve_linear
+from .verify import residual
 
 _DIVERGENCE_STREAK = 5
 _MIN_DAMPING = 0.125
@@ -43,7 +45,6 @@ class SolverConfig:
     compact_margins: tuple = (1.5, 1.0, 0.5)
     trunc_mode: str = BY_K
     q_majorant: object = None
-    seed: int = 0
 
     def __post_init__(self):
         if list(self.ladder) != sorted(set(self.ladder)):
@@ -80,16 +81,8 @@ class LadderReport:
         )
 
     def to_json(self, path):
-        payload = {
-            "margins": list(self.margins),
-            "rungs": self.rungs,
-            "ladder_converged": self.ladder_converged,
-            "final_rung": self.final_rung,
-            "quasi_residual": self.quasi_residual,
-            "degenerate_samples": self.degenerate_samples,
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
 def compact_mask(L: float, n: int, margin: float) -> np.ndarray:
@@ -120,25 +113,6 @@ def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, mo
     return GridField(f.L, mu), GridField(f.L, nu)
 
 
-def _quasilinear_residual(spec: CoefficientSpec, sol: Solution):
-    """Relative L2 residual of the untruncated equation over the support.
-
-    Samples where the raw coefficient is degenerate (|mu| + |nu| >= 1,
-    a declared measure-zero set) carry no area in the a.e. integral and
-    are excluded; their count is reported.
-    """
-    Z = sol.f.z
-    mu, nu = coefficient_fields(spec, Z, sol.f.data, strict=False)
-    support = np.abs(Z) < spec.support_radius
-    s = np.abs(mu) + np.abs(nu)
-    good = support & (s < 1.0) & np.isfinite(s)
-    degenerate = int(support.sum() - good.sum())
-    res = sol.fzbar.data - mu * sol.fz.data - nu * np.conj(sol.fz.data)
-    denom = float(np.linalg.norm(sol.fz.data[support]))
-    rel = float(np.linalg.norm(res[good]) / max(denom, 1e-300))
-    return rel, degenerate
-
-
 def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
     """Reject coefficients that are degenerate on a substantial region.
 
@@ -150,8 +124,7 @@ def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
     Z = coordinates(L, n)
     mu, nu = coefficient_fields(spec, Z, Z, strict=False)
     support = np.abs(Z) < spec.support_radius
-    s = np.abs(mu) + np.abs(nu)
-    frac = float((~((s < 1.0) & np.isfinite(s)))[support].mean())
+    frac = float((~elliptic_mask(mu, nu))[support].mean())
     if frac > 0.05:
         raise NotContractive(
             f"{spec.label or 'spec'}: |mu|+|nu| >= 1 on {frac:.1%} of the support"
@@ -238,5 +211,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             if max(distances) < cfg.ladder_tol:
                 report.ladder_converged = True
                 break
-    report.quasi_residual, report.degenerate_samples = _quasilinear_residual(spec, solution)
+    _, norms = residual(solution, spec)
+    report.quasi_residual = norms["l2_rel"]
+    report.degenerate_samples = norms["degenerate_samples"]
     return solution, report

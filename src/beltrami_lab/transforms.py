@@ -72,19 +72,18 @@ def _slug(L: float, n: int):
     return g, Tg, Sg, sigma
 
 
-def _check_support(field: GridField):
-    """Support extent must not exceed half the box side."""
-    mag = np.abs(field.data)
+def _check_support(data: np.ndarray, L: float):
+    """Support extent of the samples on [-L, L]^2 must not exceed half the box side."""
+    mag = np.abs(data)
     peak = mag.max()
     if peak == 0.0:
         return
     jj, kk = np.nonzero(mag > SUPPORT_EPS * peak)
-    ax = -field.L + field.h * np.arange(field.n)
-    ext_x = ax[kk.max()] - ax[kk.min()]
-    ext_y = ax[jj.max()] - ax[jj.min()]
-    if max(ext_x, ext_y) > field.L + field.h / 2:
+    h = 2.0 * L / data.shape[0]
+    extent = h * max(kk.max() - kk.min(), jj.max() - jj.min())
+    if extent > L + h / 2:
         raise SupportTooLarge(
-            f"support extent {max(ext_x, ext_y):.3g} exceeds half the box side {field.L:.3g}"
+            f"support extent {extent:.3g} exceeds half the box side {L:.3g}; enlarge the box"
         )
 
 
@@ -94,7 +93,7 @@ def _mass_coefficient(field: GridField, sigma: float) -> complex:
 
 def cauchy_transform(omega: GridField) -> GridField:
     """T omega with dbar(T omega) = omega and decay at infinity."""
-    _check_support(omega)
+    _check_support(omega.data, omega.L)
     mult_T, _, _, _ = _kernels(omega.L, omega.n)
     g, Tg, _, sigma = _slug(omega.L, omega.n)
     c = _mass_coefficient(omega, sigma)
@@ -104,7 +103,7 @@ def cauchy_transform(omega: GridField) -> GridField:
 
 def beurling_transform(omega: GridField) -> GridField:
     """S omega = d(T omega); unimodular multiplier, L2 isometry on mean-zero input."""
-    _check_support(omega)
+    _check_support(omega.data, omega.L)
     _, mult_S, _, _ = _kernels(omega.L, omega.n)
     g, _, Sg, sigma = _slug(omega.L, omega.n)
     c = _mass_coefficient(omega, sigma)

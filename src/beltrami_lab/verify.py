@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientSpec, coefficient_fields
-from .dilatation import inner_dilatation_p, jacobian, tangential_dilatation
+from .dilatation import elliptic_mask, inner_dilatation_p, jacobian, tangential_dilatation
 from .errors import EmptyCompact, NotInvertible, OutOfImage
 from .grid import GridField
 from .linear_solver import Solution
@@ -28,16 +28,16 @@ def residual(solution: Solution, spec: CoefficientSpec):
     """Pointwise f_zbar - mu(z, f) f_z - nu(z, f) conj(f_z) and its norms.
 
     Norms are taken over the coefficient support. Samples where the raw
-    coefficient is degenerate (|mu| + |nu| >= 1, a measure-zero set for
-    admissible coefficients) carry no area in the a.e. integral; they
-    are excluded from the norms and counted in the report.
+    coefficient is degenerate (see dilatation.elliptic_mask; a
+    measure-zero set for admissible coefficients) carry no area in the
+    a.e. integral; they are excluded from the norms and counted in the
+    report. The solver's quasi_residual is this l2_rel.
     """
     Z = solution.f.z
     mu, nu = coefficient_fields(spec, Z, solution.f.data, strict=False)
     res = solution.fzbar.data - mu * solution.fz.data - nu * np.conj(solution.fz.data)
     support = np.abs(Z) <= spec.support_radius
-    s = np.abs(mu) + np.abs(nu)
-    good = support & (s < 1.0) & np.isfinite(s)
+    good = support & elliptic_mask(mu, nu)
     degenerate = int(support.sum() - good.sum())
     denom = float(np.linalg.norm(solution.fz.data[support]))
     norms = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beltrami_lab.cli import main
+from beltrami_lab.linear_solver import load_solution
 
 
 def run(args):
@@ -88,6 +89,37 @@ def test_solve_and_verify_archive(tmp_path):
     assert report["injectivity"]["passed"]
     assert (out / "residual.ppm").exists()
     assert (out / "jacobian.ppm").exists()
+
+
+@pytest.mark.parametrize("spec", ["constant-disk:0.5", "paper-example-sec4"])
+def test_one_residual_per_archive(spec, tmp_path):
+    out = tmp_path / "run"
+    # sec4 stops at rung 8 before the ladder converges (exit 3)
+    assert run(["solve", "--spec", spec, "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) in (0, 3)
+    assert run(["verify", "--archive", str(out)]) == 0
+    ladder = json.loads((out / "ladder.json").read_text())
+    report = json.loads((out / "verification.json").read_text())
+    assert ladder["quasi_residual"] == report["residual_l2_rel"]
+    assert ladder["degenerate_samples"] == report["degenerate_samples"]
+
+
+def test_archive_with_stored_ratios_still_verifies(tmp_path):
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    # update ratios are derived from update_norms, no longer stored
+    assert "ratios" not in meta["trace"]
+    # the older format stored them next to the norms
+    norms = meta["trace"]["update_norms"]
+    stored = [b / a for a, b in zip(norms, norms[1:]) if a > 0]
+    meta["trace"]["ratios"] = stored
+    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    assert load_solution(out).trace.ratios == stored
+    assert run(["verify", "--archive", str(out)]) == 0
+    report = json.loads((out / "verification.json").read_text())
+    assert report["residual_l2_rel"] <= 1e-3
 
 
 def test_solve_rejects_degenerate_spec(tmp_path):

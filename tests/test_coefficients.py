@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from beltrami_lab.coefficients import (
     BY_K,
     BY_Q,
+    CATALOG,
     CoefficientSpec,
     TruncationPredicate,
     builtin_catalog,
@@ -14,6 +17,8 @@ from beltrami_lab.coefficients import (
     load_spec_file,
     parse_coefficient_expr,
     save_spec_file,
+    spec_from_dict,
+    spec_to_dict,
     truncate_spec,
 )
 from beltrami_lab.errors import EllipticityViolation, ParamOutOfRange, UnknownCatalogEntry
@@ -153,6 +158,31 @@ def test_spec_file_round_trip(tmp_path):
     np.testing.assert_allclose(
         coefficient_fields(loaded, z, w)[0], coefficient_fields(spec, z, w)[0], rtol=1e-15
     )
+
+
+CATALOG_PARAMS = {
+    "constant-disk": [0.96],
+    "paper-example-sec4": [],
+    "paper-example-sec4-phase2": [],
+    "radial-power": [0.5, 1.5],
+    "w-damped-disk": [0.9],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_spec_serializers_round_trip_catalog(name, tmp_path):
+    spec = builtin_catalog(name, CATALOG_PARAMS[name])
+    via_dict = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    path = tmp_path / "entry.spec"
+    save_spec_file(spec, path)
+    via_file = load_spec_file(path)
+    Z = np.linspace(-1.2, 1.2, 25)[:, None] + 1j * np.linspace(-1.2, 1.2, 25)[None, :]
+    W = 0.7 * Z[::-1] + 0.1j
+    expected = coefficient_fields(spec, Z, W, strict=False)
+    for loaded in (via_dict, via_file):
+        assert (loaded.label, loaded.support_radius) == (spec.label, spec.support_radius)
+        for got, want in zip(coefficient_fields(loaded, Z, W, strict=False), expected):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_w_independence_flag():

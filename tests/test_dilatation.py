@@ -69,6 +69,13 @@ def test_tangential_below_maximal(data):
     assert kt <= k + 1e-9 * max(1.0, k)
 
 
+def test_tangential_subnormal_offset():
+    # |z - z0| = 2.2e-311 is subnormal; conj(dz)/dz must not overflow to nan
+    kt = tangential_dilatation(0.0, 0.0, 0.0, complex(0.0, 2.225073858507e-311), 0.0)
+    assert kt == pytest.approx(1.0)
+    assert tangential_dilatation(0.3, 0.2, 1e-320, 0.0, 0.4) == tangential_dilatation(0.3, 0.2, 1.0, 0.0, 0.4)
+
+
 def test_jacobian_values():
     assert jacobian(1, 0) == 1
     assert jacobian(1, 0.5) == pytest.approx(0.75)

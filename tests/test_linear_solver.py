@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beltrami_lab.errors import NotContractive
+from beltrami_lab.errors import NotContractive, SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
 from beltrami_lab.linear_solver import (
     LinearProblem,
@@ -12,6 +12,7 @@ from beltrami_lab.linear_solver import (
     solve_linear,
 )
 from beltrami_lab.quasilinear import SolverConfig
+from beltrami_lab.transforms import cauchy_transform
 
 L, N = 2.0, 256
 CFG = SolverConfig(grid_n=N, box=L)
@@ -142,6 +143,27 @@ def test_problem_validation():
     wide = from_function(L, 64, lambda z: 0.5 * (np.abs(z) < 1.8))
     with pytest.raises(ValueError):
         LinearProblem(mu=wide, nu=zeros(L, 64), k_bound=0.5)
+
+
+def test_problem_and_transforms_share_support_rule():
+    # one rule (support extent <= half the box side) for both; the off-center
+    # disk reaches 1.15 from the origin but spans only 0.9
+    fields = {
+        "centered unit disk": (lambda z: np.abs(z) < 1, True),
+        "|z| < 1.9": (lambda z: np.abs(z) < 1.9, False),
+        "r = 0.45 disk at 0.7": (lambda z: np.abs(z - 0.7) < 0.45, True),
+    }
+    for name, (indicator, accepted) in fields.items():
+        mu = from_function(L, 64, lambda z: 0.5 * indicator(z))
+        verdicts = []
+        for build in (lambda: LinearProblem(mu=mu, nu=zeros(L, 64), k_bound=0.5),
+                      lambda: cauchy_transform(mu)):
+            try:
+                build()
+                verdicts.append(True)
+            except SupportTooLarge:
+                verdicts.append(False)
+        assert verdicts == [accepted, accepted], name
 
 
 def test_archive_round_trip(tmp_path):

@@ -122,6 +122,19 @@ def test_sec4_ladder_run_small_grid():
     assert all(len(row["d"]) == len(FAST.compact_margins) for row in report.rungs)
 
 
+def test_round_off_degenerate_sample_excluded():
+    # |mu| = 1 exactly at z = 0, but |exp(i*(theta + 0.005))| rounds below 1,
+    # so without a margin the sample (K ~ 1e16) counted as elliptic and
+    # dominated the residual
+    spec = CoefficientSpec(
+        mu_expr=parse_coefficient_expr("exp(i*(theta+0.005))*(1-r-abs(w))/(1+r+abs(w))"),
+        label="sec4-phase-shifted",
+    )
+    _, report = solve_quasilinear(spec, SolverConfig(grid_n=64, box=L))
+    assert report.quasi_residual <= 1e-5
+    assert report.degenerate_samples == 1
+
+
 def test_ladder_report_json(tmp_path):
     spec = builtin_catalog("constant-disk", [0.5])
     _, report = solve_quasilinear(spec, SolverConfig(grid_n=64, box=L, ladder=(2, 4)))
