@@ -1,6 +1,6 @@
 """Command-line entry point: analyze, solve, verify, example, catalog.
 
-Exit codes: 0 completed, 1 configuration or solver error, 2 majorant
+Exit codes: 0 completed, 1 usage, configuration or solver error, 2 majorant
 bound violated (with witness), 3 run completed but flagged (truncation
 ladder exhausted before its tolerance). Reports are JSON with sorted
 keys, evidence ladders as CSV, grids in the BLGF binary format;
@@ -10,12 +10,11 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +26,6 @@ from .errors import BeltramiLabError, BoundViolation, ConfigError
 from .linear_solver import save_solution
 from .quasilinear import SolverConfig, solve_quasilinear
 from .verify import write_ppm
-
-
-def _load_config_file(path):
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        content = fh.read()
-    if not content.lstrip().startswith("["):
-        content = "[run]\n" + content
-    parser.read_string(content)
-    flat = {}
-    for section in parser.sections():
-        for key, val in parser.items(section):
-            flat[key.replace("-", "_")] = val
-    return flat
 
 
 def _resolve_spec(name_or_path):
@@ -55,39 +40,15 @@ def _resolve_spec(name_or_path):
     raise ConfigError(f"spec {name_or_path!r} is neither a catalog entry nor a file")
 
 
-def _merge(args, file_cfg, key, cast, default):
-    """Flags override config file values, which override defaults."""
-    flag_val = getattr(args, key, None)
-    if flag_val is not None:
-        return flag_val
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
+def _solver_config(args, **defaults):
+    """SolverConfig from the solver flags given (their dests are its field names)."""
+    given = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+             if getattr(args, f.name, None) is not None}
+    return SolverConfig(**{**defaults, **given})
 
 
-def _solver_config(args, file_cfg):
-    ladder = _merge(args, file_cfg, "ladder", str, "2,4,8,16,32,64")
-    if isinstance(ladder, str):
-        ladder = tuple(int(x) for x in ladder.split(","))
-    margins = _merge(args, file_cfg, "margins", str, "1.5,1.0,0.5")
-    if isinstance(margins, str):
-        margins = tuple(float(x) for x in margins.split(","))
-    return SolverConfig(
-        grid_n=int(_merge(args, file_cfg, "grid", int, 256)),
-        box=float(_merge(args, file_cfg, "box", float, 2.0)),
-        ladder=ladder,
-        inner_tol=float(_merge(args, file_cfg, "inner_tol", float, 1e-10)),
-        outer_tol=float(_merge(args, file_cfg, "outer_tol", float, 1e-5)),
-        ladder_tol=float(_merge(args, file_cfg, "ladder_tol", float, 2e-2)),
-        residual_tol=float(_merge(args, file_cfg, "residual_tol", float, 1e-3)),
-        max_inner=int(_merge(args, file_cfg, "max_inner", int, 500)),
-        max_outer=int(_merge(args, file_cfg, "max_outer", int, 40)),
-        compact_margins=margins,
-    )
-
-
-def _outdir(args, file_cfg, default):
-    out = Path(_merge(args, file_cfg, "out", str, default))
+def _outdir(args, default):
+    out = Path(args.out or default)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -108,21 +69,19 @@ def _write_ladder_csv(report, path):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_catalog(args, file_cfg):
+def cmd_catalog(args):
     for name in sorted(CATALOG):
         _, doc = CATALOG[name]
         print(f"{name:28s} {doc}")
     return 0
 
 
-def cmd_analyze(args, file_cfg):
+def cmd_analyze(args):
     spec = _resolve_spec(args.spec)
-    out = _outdir(args, file_cfg, "analyze-out")
-    Q = conditions.parse_majorant(args.Q or "1", role="Q")
-    q1 = conditions.parse_majorant(args.Q1 or "1", role="Q1")
-    probes = [complex(p) for p in (args.z0 or ["0"])]
-    w_max = float(args.w_max) if args.w_max is not None else 100.0
-    report = conditions.audit_theorem1(spec, Q, q1, probes, w_max=w_max)
+    out = _outdir(args, "analyze-out")
+    Q = conditions.parse_majorant(args.Q, role="Q")
+    q1 = conditions.parse_majorant(args.Q1, role="Q1")
+    report = conditions.audit_theorem1(spec, Q, q1, args.z0, w_max=args.w_max)
     _write_json(report.to_dict(), out / "conditions.json")
     for i, probe in enumerate(report.probes):
         _write_ladder_csv(probe.divergence, out / f"divergence-probe{i}.csv")
@@ -135,10 +94,10 @@ def cmd_analyze(args, file_cfg):
     return 0
 
 
-def cmd_solve(args, file_cfg):
+def cmd_solve(args):
     spec = _resolve_spec(args.spec)
-    cfg = _solver_config(args, file_cfg)
-    out = _outdir(args, file_cfg, "solve-out")
+    cfg = _solver_config(args)
+    out = _outdir(args, "solve-out")
     t0 = time.time()
     solution, report = solve_quasilinear(spec, cfg)
     elapsed = time.time() - t0
@@ -159,11 +118,11 @@ def cmd_solve(args, file_cfg):
     return 0 if report.ladder_converged else 3
 
 
-def cmd_verify(args, file_cfg):
+def cmd_verify(args):
     from .linear_solver import load_solution
 
     src = Path(args.archive)
-    out = _outdir(args, file_cfg, src)
+    out = _outdir(args, src)
     solution = load_solution(src)
     with open(src / "meta.json") as fh:
         meta = json.load(fh)
@@ -190,9 +149,9 @@ def cmd_verify(args, file_cfg):
     return 0
 
 
-def cmd_example(args, file_cfg):
+def cmd_example(args):
     """End-to-end run of the unit-disk example with unbounded dilatation."""
-    out = _outdir(args, file_cfg, "example-out")
+    out = _outdir(args, "example-out")
     results = {}
 
     q_inv_r = conditions.parse_majorant("1/r")
@@ -202,14 +161,13 @@ def cmd_example(args, file_cfg):
     results["disk_integral_expected"] = 2.0 * np.pi
     print(f"integral of 1/r over the unit disk = {disk_int:.5f} (2*pi = {2 * np.pi:.5f})")
 
-    delta = float(args.delta) if args.delta is not None else 0.5
-    div_q = conditions.divergence_integral(q_inv_r, 0.0, delta)
+    div_q = conditions.divergence_integral(q_inv_r, 0.0, args.delta)
     results["Q_divergence"] = {"verdict": div_q.verdict, "limit": div_q.limit}
     print(f"I(eps) for Q = 1/r: verdict {div_q.verdict}, limit = {div_q.limit:.6f} "
-          f"(delta = {delta})")
+          f"(delta = {args.delta})")
     _write_ladder_csv(div_q, out / "I-of-eps-Q.csv")
 
-    div_q1 = conditions.divergence_integral(q_one, 0.0, delta)
+    div_q1 = conditions.divergence_integral(q_one, 0.0, args.delta)
     results["Q1_divergence"] = {"verdict": div_q1.verdict}
     print(f"I(eps) for Q1 = 1: verdict {div_q1.verdict}")
     _write_ladder_csv(div_q1, out / "I-of-eps-Q1.csv")
@@ -239,9 +197,7 @@ def cmd_example(args, file_cfg):
     code = 0
     if not args.skip_solve:
         spec = builtin_catalog("paper-example-sec4")
-        cfg = _solver_config(args, file_cfg)
-        if getattr(args, "grid", None) is None and "grid" not in file_cfg:
-            cfg = replace(cfg, grid_n=128)  # keep the default example under 10 s
+        cfg = _solver_config(args, grid_n=128)  # keep the default example under 10 s
         t0 = time.time()
         solution, report = solve_quasilinear(spec, cfg)
         elapsed = time.time() - t0
@@ -275,26 +231,45 @@ def cmd_example(args, file_cfg):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 1 like every configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
+
+
+def _floats(text):
+    return tuple(float(x) for x in text.split(","))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beltrami-lab",
         description="Numerical laboratory for two-characteristic Beltrami equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="INI-style config file; flags override it")
+        p.add_argument("--config", help="key = value file of long flags; flags override it")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--grid", type=int, help="samples per axis (power of two)")
+
+    def add_solver(p):  # no defaults here: SolverConfig holds them
+        p.add_argument("--grid", dest="grid_n", type=int, help="samples per axis (power of two)")
         p.add_argument("--box", type=float, help="box half-side L")
-        p.add_argument("--ladder", help="comma-separated truncation rungs")
-        p.add_argument("--margins", help="comma-separated compact margins")
-        p.add_argument("--inner-tol", dest="inner_tol", type=float)
-        p.add_argument("--outer-tol", dest="outer_tol", type=float)
-        p.add_argument("--ladder-tol", dest="ladder_tol", type=float)
-        p.add_argument("--residual-tol", dest="residual_tol", type=float)
-        p.add_argument("--max-inner", dest="max_inner", type=int)
-        p.add_argument("--max-outer", dest="max_outer", type=int)
+        p.add_argument("--ladder", type=_ints, help="comma-separated truncation rungs")
+        p.add_argument("--margins", dest="compact_margins", type=_floats,
+                       help="comma-separated compact margins")
+        p.add_argument("--inner-tol", type=float)
+        p.add_argument("--outer-tol", type=float)
+        p.add_argument("--ladder-tol", type=float)
+        p.add_argument("--residual-tol", type=float)
+        p.add_argument("--max-inner", type=int)
+        p.add_argument("--max-outer", type=int)
 
     p = sub.add_parser("catalog", help="list builtin coefficient specs")
     p.set_defaults(func=cmd_catalog)
@@ -302,14 +277,15 @@ def build_parser():
     p = sub.add_parser("analyze", help="audit majorant bounds, FMO and divergence conditions")
     add_common(p)
     p.add_argument("--spec", required=True, help="catalog name or spec file path")
-    p.add_argument("--Q", help="maximal-dilatation majorant expression in z, r, theta")
-    p.add_argument("--Q1", help="tangential majorant expression")
-    p.add_argument("--z0", nargs="*", help="probe points, e.g. 0 0.5+0.1j")
-    p.add_argument("--w-max", dest="w_max", help="largest |w| in the bound sampling ladder")
+    p.add_argument("--Q", default="1", help="maximal-dilatation majorant expression in z, r, theta")
+    p.add_argument("--Q1", default="1", help="tangential majorant expression")
+    p.add_argument("--z0", nargs="+", default=["0"], help="probe points, e.g. 0 0.5+0.1j")
+    p.add_argument("--w-max", type=float, default=100.0, help="largest |w| in the bound sampling")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="run the truncation ladder solver")
     add_common(p)
+    add_solver(p)
     p.add_argument("--spec", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -322,32 +298,29 @@ def build_parser():
 
     p = sub.add_parser("example", help="reproduce the unit-disk example end to end")
     add_common(p)
-    p.add_argument("--delta", help="upper endpoint of the divergence integrals")
+    add_solver(p)
+    p.add_argument("--delta", type=float, default=0.5, help="upper end of the divergence integrals")
     p.add_argument("--skip-solve", action="store_true", help="constants only, no solve")
     p.set_defaults(func=cmd_example)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    file_cfg = {}
-    if getattr(args, "config", None):
-        try:
-            file_cfg = _load_config_file(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
     try:
-        return args.func(args, file_cfg)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's keys become flags ahead of the command line, whose values win
+            file_flags = [f"--{key.replace('_', '-')}={val}"
+                          for key, val in coefficients.read_key_values(args.config).items()]
+            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+        return args.func(args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         print(f"witness (z, w, theta): {exc.witness}", file=sys.stderr)
         return 2
-    except BeltramiLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (BeltramiLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -278,17 +278,27 @@ def save_spec_file(spec: CoefficientSpec, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_spec_file(path) -> CoefficientSpec:
+def read_key_values(path) -> dict:
+    """Read flat `key = value` lines, the format of spec and config files.
+
+    `#` starts a comment, `[section]` lines are skipped, surrounding
+    double quotes are stripped and a repeated key keeps its last value.
+    """
     fields = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
+            if not line or (line.startswith("[") and line.endswith("]")):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
             fields[key] = val.strip('"')
+    return fields
+
+
+def load_spec_file(path) -> CoefficientSpec:
+    fields = read_key_values(path)
     missing = {"mu", "support_radius"} - fields.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")

@@ -93,6 +93,34 @@ def disk_integral(q, z0: complex, radius: float) -> float:
     return float(val)
 
 
+def _partial_integrals(integrand, upper: float, eps_ladder) -> list:
+    """int_eps^upper of integrand for each eps of a decreasing ladder, one ring per quad."""
+    partials = []
+    acc = 0.0
+    for eps in eps_ladder:
+        piece, _ = quad(integrand, eps, upper, limit=200)
+        acc += piece
+        partials.append(acc)
+        upper = eps
+    return partials
+
+
+def _growth_verdict(increments):
+    """(verdict, ratios, median of the last four ratios) of partial-integral increments.
+
+    All-zero increments leave no ratio and count as CONVERGENT.
+    """
+    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
+    med = float(np.median(ratios[-4:])) if ratios else 0.0
+    if med <= _RATIO_CONVERGENT:
+        verdict = CONVERGENT
+    elif med >= _RATIO_DIVERGENT and increments[-1] > 0:
+        verdict = DIVERGENT
+    else:
+        verdict = INCONCLUSIVE
+    return verdict, ratios, med
+
+
 @dataclass
 class DivergenceReport:
     eps: list
@@ -120,31 +148,14 @@ def divergence_integral(q, z0: complex, delta: float, eps_ladder=DEFAULT_EPS_LAD
             raise QuadratureFailure(f"non-finite integrand at r = {r:.6g}")
         return val
 
-    partials = []
-    acc = 0.0
-    upper = delta
-    for eps in eps_ladder:
-        piece, _ = quad(integrand, eps, upper, limit=200)
-        acc += piece
-        partials.append(acc)
-        upper = eps
+    partials = _partial_integrals(integrand, delta, eps_ladder)
     increments = list(np.diff(partials))
-    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
-    tail = ratios[-4:] if len(ratios) >= 4 else ratios
-    med = float(np.median(tail)) if tail else 0.0
+    verdict, ratios, med = _growth_verdict(increments)
     limit = None
-    if not increments or max(increments) <= 1e-14:
-        verdict = CONVERGENT
-        limit = partials[-1]
-    elif med <= _RATIO_CONVERGENT:
-        verdict = CONVERGENT
+    if verdict == CONVERGENT:
         # geometric tail extrapolation from the last increment
         r = min(med, 0.97)
         limit = partials[-1] + increments[-1] * r / (1.0 - r)
-    elif med >= _RATIO_DIVERGENT and increments[-1] > 0:
-        verdict = DIVERGENT
-    else:
-        verdict = INCONCLUSIVE
     return DivergenceReport(
         eps=eps_ladder,
         partials=partials,
@@ -239,30 +250,11 @@ def psi_admissibility(psi, q1, z0: complex, eps0: float, eps_prime: float,
     def annulus_integrand(t):
         return 2.0 * np.pi * t * circle_mean(q1, z0, t) * psi_val(t) ** 2
 
-    I_vals, R_vals = [], []
-    acc_I = 0.0
-    acc_R = 0.0
-    upper = eps0
-    finite_positive = True
-    for eps in ladder:
-        piece_I, _ = quad(psi_val, eps, upper, limit=200)
-        piece_R, _ = quad(annulus_integrand, eps, upper, limit=200)
-        acc_I += piece_I
-        acc_R += piece_R
-        upper = eps
-        if not (0.0 < acc_I < np.inf):
-            finite_positive = False
-        I_vals.append(acc_I)
-        R_vals.append(acc_R / acc_I**2 if acc_I > 0 else np.inf)
-    inc = np.diff(I_vals)
-    ratios = [b / a for a, b in zip(inc, inc[1:]) if a > 0]
-    med = float(np.median(ratios[-4:])) if ratios else 0.0
-    if med >= _RATIO_DIVERGENT and inc[-1] > 0:
-        unbounded = DIVERGENT
-    elif med <= _RATIO_CONVERGENT:
-        unbounded = CONVERGENT
-    else:
-        unbounded = INCONCLUSIVE
+    I_vals = _partial_integrals(psi_val, eps0, ladder)
+    R_vals = [acc_R / acc_I**2 if acc_I > 0 else np.inf
+              for acc_I, acc_R in zip(I_vals, _partial_integrals(annulus_integrand, eps0, ladder))]
+    finite_positive = all(0.0 < acc_I < np.inf for acc_I in I_vals)
+    unbounded, _, _ = _growth_verdict(np.diff(I_vals))
     o_i2 = bool(
         len(R_vals) >= 2
         and R_vals[-1] < 0.75 * max(R_vals[0], 1e-300)

@@ -47,14 +47,15 @@ class SolverConfig:
     q_majorant: object = None
 
     def __post_init__(self):
-        if list(self.ladder) != sorted(set(self.ladder)):
-            raise ValueError("ladder must be strictly increasing")
-        for name in ("inner_tol", "outer_tol", "ladder_tol", "residual_tol"):
+        if not self.ladder or list(self.ladder) != sorted(set(self.ladder)):
+            raise ValueError("ladder must be non-empty and strictly increasing")
+        for name in ("inner_tol", "outer_tol", "ladder_tol", "residual_tol",
+                     "max_inner", "max_outer"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         margins = list(self.compact_margins)
-        if margins != sorted(margins, reverse=True) or any(m <= 0 for m in margins):
-            raise ValueError("compact_margins must be decreasing and positive")
+        if not margins or margins != sorted(margins, reverse=True) or margins[-1] <= 0:
+            raise ValueError("compact_margins must be non-empty, decreasing and positive")
         if self.trunc_mode == BY_Q and self.q_majorant is None:
             raise ValueError("BY_Q runs need a q_majorant")
 

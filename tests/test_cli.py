@@ -149,3 +149,73 @@ def test_deterministic_reports(tmp_path):
             "--z0", "0", "--out", str(out),
         ]) == 0
     assert (a / "conditions.json").read_bytes() == (b / "conditions.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    out = tmp_path_factory.mktemp("archive") / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    return out
+
+
+def test_usage_error_exits_1(capsys):
+    # exit 2 means a majorant bound was violated; a usage error is a configuration error
+    assert run(["solve"]) == 1
+    assert "--spec" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_solver_flags_rejected_where_unread(command, archive, tmp_path):
+    # without the flag both commands exit 0
+    target = (["--archive", str(archive)] if command == "verify"
+              else ["--spec", "constant-disk:0.5", "--Q", "3", "--Q1", "3"])
+    assert run([command, *target, "--out", str(tmp_path)]) == 0
+    assert run([command, *target, "--grid", "64", "--out", str(tmp_path)]) == 1
+
+
+def test_config_unknown_key_rejected(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("grid = 64\nmax_outers = 3\n")
+    assert run(["solve", "--spec", "constant-disk:0.5", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 1
+
+
+def test_config_line_without_equals_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("grid = 64\nladder\n")
+    assert run(["solve", "--spec", "constant-disk:0.5", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: expected key = value" in err
+    assert "Traceback" not in err
+
+
+def test_config_repeated_key_last_wins(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("grid = 32\nladder = 2,4,8\ngrid = 64\n")
+    out = tmp_path / "out"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["n"] == 64
+
+
+@pytest.mark.parametrize("flag", ["--max-outer", "--max-inner"])
+def test_zero_iteration_cap_rejected(flag, tmp_path, capsys):
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "32", flag, "0",
+                "--out", str(tmp_path)]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+def test_config_file_equals_flags(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]  # sections are skipped\ngrid = 64\nladder = 2,4\nmargins = 1.0,0.5\n")
+    flags = ["--grid", "64", "--ladder", "2,4", "--margins", "1.0,0.5"]
+    for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
+        assert run(["solve", "--spec", "constant-disk:0.5", *extra,
+                    "--out", str(tmp_path / name)]) == 3
+    assert ((tmp_path / "file" / "ladder.json").read_bytes()
+            == (tmp_path / "flags" / "ladder.json").read_bytes())

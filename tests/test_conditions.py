@@ -204,3 +204,14 @@ def test_report_json_round_trip(tmp_path):
     assert loaded["label"] == spec.label
     assert len(loaded["probes"]) == 2
     assert loaded["probes"][0]["divergence"]["verdict"] == DIVERGENT
+
+
+@pytest.mark.parametrize("c", ["1", "1e14", "1e20"])
+def test_constant_majorant_divergence_agrees_with_psi(c):
+    # the increments ln(2)/c stay equal however small a large c makes them
+    q = parse_majorant(c)
+    rep = divergence_integral(q, 0, delta=0.5)
+    assert rep.verdict == DIVERGENT
+    assert rep.limit is None
+    psi = psi_admissibility(default_psi(q, 0), q, 0, eps0=0.5, eps_prime=0.5)
+    assert psi.I_unbounded == rep.verdict

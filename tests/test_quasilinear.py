@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from beltrami_lab.coefficients import (
+    BY_Q,
     CoefficientSpec,
     builtin_catalog,
     parse_coefficient_expr,
 )
-from beltrami_lab.errors import EmptyCompact, NotContractive
+from beltrami_lab.conditions import parse_majorant
+from beltrami_lab.errors import EllipticityViolation, EmptyCompact, NotContractive
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
 from beltrami_lab.linear_solver import LinearProblem, solve_linear
 from beltrami_lab.quasilinear import (
@@ -27,6 +31,14 @@ def test_config_validation():
         SolverConfig(inner_tol=-1)
     with pytest.raises(ValueError):
         SolverConfig(compact_margins=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ladder", ()), ("compact_margins", ()), ("max_inner", 0), ("max_outer", 0),
+])
+def test_config_rejects_empty_or_zero(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_compact_sup_distance_trivial():
@@ -145,3 +157,23 @@ def test_ladder_report_json(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["final_rung"] == 4
     assert [row["rung"] for row in payload["rungs"]] == [2, 4]
+
+
+def test_by_q_with_exact_majorant_matches_by_k():
+    # Q is K of mu = 0.9 r itself, so both modes zero the same samples
+    spec = builtin_catalog("radial-power", [0.9, 1])
+    by_k = SolverConfig(grid_n=64, box=L, ladder=(2, 4, 8, 16, 32))
+    by_q = replace(by_k, trunc_mode=BY_Q, q_majorant=parse_majorant("(1+0.9*r)/(1-0.9*r)"))
+    sol_k, report_k = solve_quasilinear(spec, by_k)
+    sol_q, report_q = solve_quasilinear(spec, by_q)
+    np.testing.assert_array_equal(sol_q.f.data, sol_k.f.data)
+    assert report_q.final_rung == report_k.final_rung == 32
+
+
+def test_by_q_with_too_weak_majorant_raises():
+    # 1/r does not bound K(z, f(z)) of sec4 near |z| = 1, where |f| is large,
+    # so truncating by it keeps samples above the rung's ellipticity bound
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4), trunc_mode=BY_Q,
+                       q_majorant=parse_majorant("1/r"))
+    with pytest.raises(EllipticityViolation, match="majorant too weak"):
+        solve_quasilinear(builtin_catalog("paper-example-sec4"), cfg)
