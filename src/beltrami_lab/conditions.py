@@ -31,7 +31,7 @@ from .expressions import (
     standard_env,
 )
 
-DEFAULT_EPS_LADDER = tuple(2.0 ** -k for k in range(3, 13))
+EPS_LADDER = tuple(2.0 ** -k for k in range(3, 13))
 
 CONVERGENT = "CONVERGENT"
 DIVERGENT = "DIVERGENT"
@@ -132,17 +132,14 @@ class DivergenceReport:
     median_ratio: float = None
 
 
-def divergence_integral(q, z0: complex, delta: float, eps_ladder=DEFAULT_EPS_LADDER,
-                        nodes: int = 64) -> DivergenceReport:
+def divergence_integral(q, z0: complex, delta: float) -> DivergenceReport:
     """Classify int_0 dr/(r qbar(r)) by partial integrals I(eps) = int_eps^delta."""
-    eps_ladder = [float(e) for e in eps_ladder if e < delta]
+    eps_ladder = [e for e in EPS_LADDER if e < delta]
     if len(eps_ladder) < 5:
         raise ValueError("eps ladder must reach at least 5 values below delta")
-    if eps_ladder != sorted(eps_ladder, reverse=True):
-        raise ValueError("eps ladder must be decreasing")
 
     def integrand(r):
-        qb = circle_mean(q, z0, r, m=nodes)
+        qb = circle_mean(q, z0, r)
         val = 1.0 / (r * qb) if qb > 0 else np.inf
         if not np.isfinite(val):
             raise QuadratureFailure(f"non-finite integrand at r = {r:.6g}")
@@ -167,14 +164,14 @@ def divergence_integral(q, z0: complex, delta: float, eps_ladder=DEFAULT_EPS_LAD
     )
 
 
-def _disk_mean_and_oscillation(q, x0: complex, eps: float, nr: int = 48, nphi: int = 96):
-    """Disk mean and mean absolute oscillation over B(x0, eps) by polar quadrature."""
-    xg, wg = np.polynomial.legendre.leggauss(nr)
+def _disk_mean_and_oscillation(q, x0: complex, eps: float):
+    """Disk mean and mean absolute oscillation over B(x0, eps): 48 Gauss radii x 96 angles."""
+    xg, wg = np.polynomial.legendre.leggauss(48)
     rho = 0.5 * eps * (xg + 1.0)
     wr = 0.5 * eps * wg
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    phi = 2.0 * np.pi * np.arange(96) / 96
     R, P = np.meshgrid(rho, phi)
-    W = np.meshgrid(wr, phi)[0] * (2.0 * np.pi / nphi) * R
+    W = np.meshgrid(wr, phi)[0] * (2.0 * np.pi / 96) * R
     vals = np.asarray(q(x0 + R * np.exp(1j * P)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureFailure(f"majorant not finite on B({x0:.4g}, {eps:.4g})")
@@ -192,11 +189,10 @@ class FmoReport:
     verdict: str
 
 
-def fmo_estimate(q, x0: complex, eps_ladder=DEFAULT_EPS_LADDER) -> FmoReport:
+def fmo_estimate(q, x0: complex) -> FmoReport:
     """Estimate mean-oscillation boundedness of q at x0 over shrinking disks."""
-    eps_ladder = [float(e) for e in eps_ladder]
     means, oscs = [], []
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         mean, osc = _disk_mean_and_oscillation(q, x0, eps)
         means.append(mean)
         oscs.append(osc)
@@ -211,7 +207,7 @@ def fmo_estimate(q, x0: complex, eps_ladder=DEFAULT_EPS_LADDER) -> FmoReport:
             verdict = LIKELY_FMO
         else:
             verdict = INCONCLUSIVE
-    return FmoReport(eps=eps_ladder, means=means, oscillations=oscs, verdict=verdict)
+    return FmoReport(eps=list(EPS_LADDER), means=means, oscillations=oscs, verdict=verdict)
 
 
 @dataclass
@@ -225,8 +221,7 @@ class PsiReport:
     admissible: bool
 
 
-def psi_admissibility(psi, q1, z0: complex, eps0: float, eps_prime: float,
-                      eps_ladder=DEFAULT_EPS_LADDER) -> PsiReport:
+def psi_admissibility(psi, q1, z0: complex, eps0: float, eps_prime: float) -> PsiReport:
     """Check 0 < I(eps, eps0) < inf, I -> inf, and the o(I^2) smallness.
 
     psi is an expression in t, or a callable of t (for instance the
@@ -237,7 +232,7 @@ def psi_admissibility(psi, q1, z0: complex, eps0: float, eps_prime: float,
         psi = parse_radial_weight(psi)
     if not 0 < eps_prime <= eps0:
         raise ValueError("need 0 < eps_prime <= eps0")
-    ladder = [float(e) for e in eps_ladder if e < eps_prime]
+    ladder = [e for e in EPS_LADDER if e < eps_prime]
     if len(ladder) < 4:
         raise ValueError("eps ladder must reach at least 4 values below eps_prime")
 
@@ -319,10 +314,12 @@ def _w_samples(w_max: float):
 
 
 def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_points,
-                   eps_ladder=DEFAULT_EPS_LADDER, delta_fraction: float = 0.5,
-                   n_z: int = 24, n_theta: int = 64, w_max: float = 100.0) -> ConditionReport:
+                   w_max: float = 100.0) -> ConditionReport:
     """Check K <= Q and K^T <= Q1 by sampling, then run the FMO and
     divergence audits of Q1 at every probe point.
+
+    Bounds are sampled at 24 random z (seed 0) and 64 phases; the
+    divergence integral at z0 ends at half its distance to the support.
 
     q1_family maps a probe z0 to its majorant; a bare MajorantSpec is
     used for every probe. The per-probe hypothesis holds if either the
@@ -337,10 +334,10 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
     else:
         family = q1_family
     rng = np.random.default_rng(0)
-    radii = spec.support_radius * np.sqrt(rng.uniform(0.001, 0.97, n_z))
-    angles = rng.uniform(0.0, 2.0 * np.pi, n_z)
+    radii = spec.support_radius * np.sqrt(rng.uniform(0.001, 0.97, 24))
+    angles = rng.uniform(0.0, 2.0 * np.pi, 24)
     z_samples = radii * np.exp(1j * angles)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    thetas = 2.0 * np.pi * np.arange(64) / 64
     w_values = _w_samples(w_max)
 
     worst_k = -np.inf
@@ -386,9 +383,9 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
 
     def probe_audit(z0):
         q1 = family(z0)
-        delta = delta_fraction * max(spec.support_radius - abs(z0), 1e-6)
-        fmo = fmo_estimate(q1, z0, eps_ladder)
-        div = divergence_integral(q1, z0, delta, eps_ladder)
+        delta = 0.5 * max(spec.support_radius - abs(z0), 1e-6)
+        fmo = fmo_estimate(q1, z0)
+        div = divergence_integral(q1, z0, delta)
         ok = fmo.verdict == LIKELY_FMO or div.verdict == DIVERGENT
         return ProbeResult(z0=z0, fmo=fmo, divergence=div, hypothesis_ok=ok)
 
@@ -398,7 +395,7 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
 
     report = ConditionReport(
         label=spec.label,
-        bound_samples=len(z_samples) * len(w_values) * (n_theta * len(probe_points) + 1),
+        bound_samples=len(z_samples) * len(w_values) * (len(thetas) * len(probe_points) + 1),
         max_k_minus_q=worst_k,
         max_kt_minus_q1=worst_kt,
         probes=probes,

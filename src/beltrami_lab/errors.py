@@ -91,9 +91,5 @@ class NotInvertible(BeltramiLabError):
     """Inverse-map audit on a solution that failed the injectivity check."""
 
 
-class OutOfImage(BeltramiLabError):
-    """Probe point outside the mapped image window."""
-
-
 class ConfigError(BeltramiLabError):
     """Invalid run configuration (CLI or config file)."""

@@ -142,6 +142,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     solution = None
     prev_rung_f = None
     for rung in cfg.ladder:
+        k_bound = TruncationPredicate(cfg.trunc_mode, rung, cfg.q_majorant).k_bound
         lam = 1.0
         rise_streak = 0
         stall_streak = 0
@@ -159,7 +160,6 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
                 break  # frozen coefficients stabilised; the solve would repeat
             prev_mu, prev_nu = mu, nu
             outer_steps += 1
-            k_bound = (rung - 1.0) / (rung + 1.0)
             prob = LinearProblem(mu=mu, nu=nu, k_bound=k_bound)
             sol = solve_linear(
                 prob, cfg, support_radius=spec.support_radius, label=spec.label
@@ -208,10 +208,9 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         report.add_rung(rung, outer_steps, solution.residual_l2_rel, distances)
         report.final_rung = rung
         prev_rung_f = f_current
-        if prev_rung_f is not None and not np.isnan(distances[0]):
-            if max(distances) < cfg.ladder_tol:
-                report.ladder_converged = True
-                break
+        if not np.isnan(distances[0]) and max(distances) < cfg.ladder_tol:
+            report.ladder_converged = True
+            break
     _, norms = residual(solution, spec)
     report.quasi_residual = norms["l2_rel"]
     report.degenerate_samples = norms["degenerate_samples"]

@@ -9,14 +9,13 @@ integrals, and the log-Holder continuity fit.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import CoefficientSpec, coefficient_fields
-from .dilatation import elliptic_mask, inner_dilatation_p, jacobian, tangential_dilatation
-from .errors import EmptyCompact, NotInvertible, OutOfImage
+from .dilatation import elliptic_mask, inner_dilatation_p, jacobian
+from .errors import EmptyCompact, NotInvertible
 from .grid import GridField
 from .linear_solver import Solution
 
@@ -101,14 +100,15 @@ def _winding_numbers(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.rint(w / (2.0 * np.pi)).astype(int)
 
 
-def injectivity_check(solution: Solution, bins: int = 48):
+def injectivity_check(solution: Solution):
     """Count orientation flips and multiply-covered image regions.
 
     Flips are image triangles with negative signed area. The cover test
     evaluates the winding number of the image of the grid boundary at
-    bin centers well inside the image; winding outside {0, 1} means the
-    grid image overlaps itself (a fold or a multiple cover). PASS needs
-    zero flips and zero overlap bins.
+    the centers of 48 x 48 bins over the image's bounding box that lie
+    well inside the image; winding outside {0, 1} means the grid image
+    overlaps itself (a fold or a multiple cover). PASS needs zero flips
+    and zero overlap bins.
     """
     A, B, C, *_ = _triangles(solution)
     area2 = _signed_area2(A, B, C)
@@ -117,8 +117,8 @@ def injectivity_check(solution: Solution, bins: int = 48):
     poly = _boundary_polygon(solution.f.data)
     lo_x, hi_x = poly.real.min(), poly.real.max()
     lo_y, hi_y = poly.imag.min(), poly.imag.max()
-    bx = np.linspace(lo_x, hi_x, bins + 1)
-    by = np.linspace(lo_y, hi_y, bins + 1)
+    bx = np.linspace(lo_x, hi_x, 49)
+    by = np.linspace(lo_y, hi_y, 49)
     cx = 0.5 * (bx[:-1] + bx[1:])
     cy = 0.5 * (by[:-1] + by[1:])
     CX, CY = np.meshgrid(cx, cy)
@@ -142,84 +142,71 @@ def injectivity_check(solution: Solution, bins: int = 48):
 # ---------------------------------------------------------------------------
 # discrete inverse and its dilatation integrals
 
-def _locate(solution: Solution, targets: np.ndarray, source_mask=None):
-    """Barycentric point location of targets in the mapped triangles."""
+def _locate(solution: Solution, w_half: float, image_n: int, source_mask):
+    """Preimages of the lattice (-w_half + hw k) + i (-w_half + hw j), hw = 2 w_half / image_n.
+
+    Each lattice point [j, k] takes the lowest-numbered masked triangle
+    that contains it (barycentric test, 1e-12 slack); others stay NaN.
+    """
     A, B, C, Az, Bz, Cz = _triangles(solution)
-    if source_mask is not None:
-        m = np.concatenate([source_mask[:-1, :-1].ravel(), source_mask[:-1, :-1].ravel()])
-        A, B, C, Az, Bz, Cz = (arr[m] for arr in (A, B, C, Az, Bz, Cz))
-    nb = 128
-    lo = complex(targets.real.min(), targets.imag.min())
-    span = max(targets.real.max() - lo.real, targets.imag.max() - lo.imag) + 1e-12
-    bsz = span / nb
+    m = np.tile(source_mask[:-1, :-1].ravel(), 2)
+    A, B, C, Az, Bz, Cz = (arr[m] for arr in (A, B, C, Az, Bz, Cz))
+    hw = 2.0 * w_half / image_n
+    ax = -w_half + hw * np.arange(image_n)
 
-    def bin_range(vals_min, vals_max):
-        b0 = np.clip(((vals_min - 1e-12) / bsz).astype(int), 0, nb - 1)
-        b1 = np.clip(((vals_max + 1e-12) / bsz).astype(int), 0, nb - 1)
-        return b0, b1
+    def index_range(coord):
+        """First lattice index and count per bounding box; too wide, never too narrow."""
+        first = np.clip(np.ceil((coord.min(axis=0) + w_half) / hw - 1e-9), 0, image_n)
+        last = np.clip(np.floor((coord.max(axis=0) + w_half) / hw + 1e-9), -1, image_n - 1)
+        return first.astype(np.intp), np.maximum(last - first + 1, 0).astype(np.intp)
 
-    bx0, bx1 = bin_range(np.minimum(np.minimum(A.real, B.real), C.real) - lo.real,
-                         np.maximum(np.maximum(A.real, B.real), C.real) - lo.real)
-    by0, by1 = bin_range(np.minimum(np.minimum(A.imag, B.imag), C.imag) - lo.imag,
-                         np.maximum(np.maximum(A.imag, B.imag), C.imag) - lo.imag)
-    table = defaultdict(list)
-    for t in range(len(A)):
-        for ix in range(bx0[t], bx1[t] + 1):
-            for iy in range(by0[t], by1[t] + 1):
-                table[(ix, iy)].append(t)
+    P = np.stack([A, B, C])
+    (x0, nx), (y0, ny) = index_range(P.real), index_range(P.imag)
+    count = nx * ny
+    t = np.repeat(np.arange(len(A)), count)  # candidate pairs in increasing triangle order
+    k = np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count)
+    ix = x0[t] + k % nx[t]
+    iy = y0[t] + k // nx[t]
+    v0 = B[t] - A[t]
+    v1 = C[t] - A[t]
+    v2r = ax[ix] - A.real[t]
+    v2i = ax[iy] - A.imag[t]
+    den = v0.real * v1.imag - v0.imag * v1.real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (v2r * v1.imag - v2i * v1.real) / den
+        b = (v0.real * v2i - v0.imag * v2r) / den
+    inside = (den != 0.0) & (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1.0 + 1e-12)
+    points, first = np.unique((iy * image_n + ix)[inside], return_index=True)
+    hit = np.flatnonzero(inside)[first]
+    th = t[hit]
 
-    out = np.full(targets.shape, np.nan + 0j)
-    tx = np.clip(((targets.real - lo.real) / bsz).astype(int), 0, nb - 1)
-    ty = np.clip(((targets.imag - lo.imag) / bsz).astype(int), 0, nb - 1)
-    flat = targets.ravel()
-    txf, tyf = tx.ravel(), ty.ravel()
-    res = out.ravel()
-    for i in range(len(flat)):
-        w = flat[i]
-        for t in table.get((txf[i], tyf[i]), ()):
-            v0 = B[t] - A[t]
-            v1 = C[t] - A[t]
-            v2 = w - A[t]
-            den = v0.real * v1.imag - v0.imag * v1.real
-            if den == 0.0:
-                continue
-            a = (v2.real * v1.imag - v2.imag * v1.real) / den
-            b = (v0.real * v2.imag - v0.imag * v2.real) / den
-            if a >= -1e-12 and b >= -1e-12 and a + b <= 1.0 + 1e-12:
-                res[i] = Az[t] + a * (Bz[t] - Az[t]) + b * (Cz[t] - Az[t])
-                break
-    return out
+    out = np.full(image_n * image_n, np.nan + 0j)
+    out[points] = Az[th] + a[hit] * (Bz[th] - Az[th]) + b[hit] * (Cz[th] - Az[th])
+    return out.reshape(image_n, image_n)
 
 
-def inverse_dilatation_audit(solution: Solution, p: float, Q=None, probes=(),
-                             image_n: int = 96, window_shrink: float = 0.7):
-    """Integrate K_{I,p} of the discrete inverse and check its tangential bound.
+def inverse_dilatation_audit(solution: Solution, p: float, injectivity=None):
+    """Integrate K_{I,p} of the discrete inverse.
 
-    Builds g = f^{-1} on a uniform image-side window (a square around 0
-    inside the image of the support disk) by triangle point location,
+    Builds g = f^{-1} on a 96 x 96 lattice over the square of half-side
+    0.7 min |f| on the support circle by triangle point location,
     differentiates by centered differences, and Riemann-sums the inner
     dilatation. Raises NotInvertible if the solution fails the
-    injectivity check, OutOfImage for probes outside the window.
+    injectivity check, which runs here unless its result is passed in.
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"order p must lie in (1, 2], got {p}")
-    check = injectivity_check(solution)
+    check = injectivity_check(solution) if injectivity is None else injectivity
     if not check["passed"]:
         raise NotInvertible(f"injectivity check failed: {check}")
     Z = solution.f.z
     ring = np.abs(np.abs(Z) - solution.support_radius) < 2 * solution.f.h
     if not ring.any():
         ring = np.abs(Z) > 0.9 * np.abs(Z).max()
-    w_half = window_shrink * float(np.abs(solution.f.data[ring]).min())
-    hw = 2.0 * w_half / image_n
-    ax = -w_half + hw * np.arange(image_n)
-    WX, WY = np.meshgrid(ax, ax)
-    W = WX + 1j * WY
-    for w0 in probes:
-        if max(abs(complex(w0).real), abs(complex(w0).imag)) >= w_half:
-            raise OutOfImage(f"probe {w0} outside the image window (half-side {w_half:.4g})")
+    w_half = 0.7 * float(np.abs(solution.f.data[ring]).min())
+    hw = 2.0 * w_half / 96
     source_mask = np.abs(Z) <= min(solution.support_radius * 1.5, solution.f.L * 0.75)
-    g = _locate(solution, W, source_mask)
+    g = _locate(solution, w_half, 96, source_mask)
     located = np.isfinite(g.real)
     gy, gx = np.gradient(g, hw, edge_order=1)
     gw = 0.5 * (gx - 1j * gy)
@@ -230,15 +217,6 @@ def inverse_dilatation_audit(solution: Solution, p: float, Q=None, probes=(),
     KIp = inner_dilatation_p(gw[interior], gwb[interior], p)
     KI2 = inner_dilatation_p(gw[interior], gwb[interior], 2.0)
     area = float(interior.sum()) * hw * hw
-    mu_g = np.where(gw[interior] != 0, gwb[interior] / np.where(gw[interior] != 0, gw[interior], 1), 0)
-    kt_violations = {}
-    if Q is not None:
-        Win = W[interior]
-        Qv = Q(Win)
-        for w0 in probes:
-            mask = np.abs(Win - w0) > 1e-9
-            KT = tangential_dilatation(mu_g[mask], np.zeros_like(mu_g[mask]), Win[mask], complex(w0), 0.0)
-            kt_violations[str(w0)] = int(np.sum(KT > Qv[mask] + 1e-9))
     return {
         "p": p,
         "integral_KIp": float(np.sum(KIp) * hw * hw),
@@ -247,37 +225,36 @@ def inverse_dilatation_audit(solution: Solution, p: float, Q=None, probes=(),
         "mean_KIp": float(np.mean(KIp)),
         "max_KIp": float(np.max(KIp)),
         "located_fraction": float(located.mean()),
-        "kt_violations": kt_violations,
     }
 
 
 # ---------------------------------------------------------------------------
 # log-Holder continuity fit
 
-def continuity_modulus_fit(solution: Solution, q_l1_norm: float, margin: float,
-                           pairs_per_scale: int = 200, n_scales: int = 5, seed: int = 0):
+def continuity_modulus_fit(solution: Solution, q_l1_norm: float, margin: float):
     """Fit the smallest C with |f(x) - f(y)| <= C sqrt(q_l1_norm) / log^{1/2}(1 + r0/(2|x-y|)).
 
-    Pairs are sampled inside the compact K = {|z| <= support_radius -
-    margin} at dyadic separation scales; r0 = margin is the distance
-    from K to the support boundary.
+    200 pairs (seed 0) are sampled inside the compact K = {|z| <=
+    support_radius - margin} at each of 5 dyadic separation scales;
+    r0 = margin is the distance from K to the support boundary.
     """
     if q_l1_norm <= 0:
         raise ValueError("q_l1_norm must be positive")
     r_compact = solution.support_radius - margin
     if r_compact <= 0:
         raise EmptyCompact(f"margin {margin} leaves no compact inside the support")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    pairs = 200
     r0 = margin
     per_scale = []
-    for j in range(1, n_scales + 1):
+    for j in range(1, 6):
         # separations scale with the compact, not with r0, so shrinking the
         # compact can only shrink the fitted constant
         sep = r_compact * 2.0 ** -j
-        rad = (r_compact - sep) * np.sqrt(rng.uniform(0, 1, pairs_per_scale))
-        ang = rng.uniform(0, 2 * np.pi, pairs_per_scale)
+        rad = (r_compact - sep) * np.sqrt(rng.uniform(0, 1, pairs))
+        ang = rng.uniform(0, 2 * np.pi, pairs)
         x = rad * np.exp(1j * ang)
-        y = x + sep * np.exp(1j * rng.uniform(0, 2 * np.pi, pairs_per_scale))
+        y = x + sep * np.exp(1j * rng.uniform(0, 2 * np.pi, pairs))
         keep = np.abs(y) <= r_compact
         x, y = x[keep], y[keep]
         df = np.abs(solution.f.interp(x) - solution.f.interp(y))
@@ -305,10 +282,9 @@ class VerificationReport:
             json.dump(self.__dict__, fh, indent=2, sort_keys=True, default=str)
 
 
-def verification_report(solution: Solution, spec: CoefficientSpec, p: float = 2.0,
-                        continuity_margin: float = 0.5, q_l1_norm: float = None,
+def verification_report(solution: Solution, spec: CoefficientSpec, q_l1_norm: float = None,
                         with_inverse: bool = True) -> VerificationReport:
-    """Run the full verification battery on one solution."""
+    """Full verification battery: inverse audit at p = 2, continuity fit at margin 0.5."""
     _, norms = residual(solution, spec)
     report = VerificationReport(
         residual_l2_rel=norms["l2_rel"],
@@ -318,9 +294,9 @@ def verification_report(solution: Solution, spec: CoefficientSpec, p: float = 2.
         injectivity=injectivity_check(solution),
     )
     if with_inverse and report.injectivity["passed"]:
-        report.inverse = inverse_dilatation_audit(solution, p=p)
+        report.inverse = inverse_dilatation_audit(solution, p=2.0, injectivity=report.injectivity)
     if q_l1_norm:
-        report.continuity = continuity_modulus_fit(solution, q_l1_norm, continuity_margin)
+        report.continuity = continuity_modulus_fit(solution, q_l1_norm, 0.5)
     return report
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beltrami_lab import verify
 from beltrami_lab.coefficients import CoefficientSpec, builtin_catalog, parse_coefficient_expr
 from beltrami_lab.errors import NotInvertible
 from beltrami_lab.grid import from_function
@@ -8,6 +9,7 @@ from beltrami_lab.linear_solver import IterationTrace, Normalization, Solution
 from beltrami_lab.quasilinear import SolverConfig
 from beltrami_lab.transforms import derivatives
 from beltrami_lab.verify import (
+    _locate,
     continuity_modulus_fit,
     injectivity_check,
     inverse_dilatation_audit,
@@ -180,6 +182,98 @@ def test_inverse_audit_rejects_non_injective():
 def test_inverse_audit_order_range():
     with pytest.raises(ValueError):
         inverse_dilatation_audit(affine_solution(0.5), p=3.0)
+
+
+def test_inverse_audit_takes_callers_injectivity_result():
+    with pytest.raises(NotInvertible):
+        inverse_dilatation_audit(affine_solution(0.5), p=2.0, injectivity={"passed": False})
+
+
+def lattice(w_half, image_n):
+    ax = -w_half + (2.0 * w_half / image_n) * np.arange(image_n)
+    return ax[None, :] + 1j * ax[:, None]
+
+
+def test_locate_affine_inverse():
+    # f = z + 0.5 conj(z) is affine, so its piecewise-linear inverse is exact
+    sol = affine_solution(0.5)
+    W = lattice(0.5, 48)
+    g = _locate(sol, 0.5, 48, np.abs(sol.f.z) <= 1.5)
+    located = np.isfinite(g.real)
+    assert located.all()
+    exact = (W - 0.5 * np.conj(W)) / 0.75
+    assert np.abs(g - exact)[located].max() <= 1e-12
+
+
+def test_locate_lattice_on_shared_vertices():
+    # h = 2L/n = 1/16 = hw: every lattice point is a grid vertex shared by
+    # up to six triangles, and all the arithmetic is exact in binary
+    sol = make_solution(lambda z: z, n=64)
+    g = _locate(sol, 1.0, 32, np.ones((64, 64), dtype=bool))
+    assert np.isfinite(g.real).all()
+    assert np.array_equal(g, lattice(1.0, 32))
+
+
+def test_locate_leaves_points_outside_the_image_nan():
+    # the identity's grid image is [-2, 1.9375]^2; the lattice reaches
+    # [-2.5, 2.34375]^2 and no lattice coordinate lies on that boundary
+    sol = make_solution(lambda z: z, n=64)
+    W = lattice(2.5, 32)
+    g = _locate(sol, 2.5, 32, np.ones((64, 64), dtype=bool))
+    inside = ((W.real > -2) & (W.real < 1.9375) & (W.imag > -2) & (W.imag < 1.9375))
+    assert not inside.all() and inside.any()
+    assert np.array_equal(np.isfinite(g.real), inside)
+    assert np.allclose(g[inside], W[inside], atol=1e-12)
+
+
+def constant_disk_closed_form(z):
+    zs = np.where(z == 0, 1, z)
+    return np.where(np.abs(z) <= 1, z + 0.5 * np.conj(z), z + 0.5 / zs)
+
+
+@pytest.mark.parametrize("fn", [
+    constant_disk_closed_form,
+    lambda z: np.abs(z.real) + 1j * z.imag,  # a fold: two triangles hold most points
+], ids=["constant-disk", "fold"])
+def test_locate_matches_reference_scan(fn):
+    # reference: each lattice point scans all masked triangles in order and
+    # takes the first that contains it, with the same barycentric formulas
+    sol = make_solution(fn, n=32)
+    mask = np.abs(sol.f.z) <= 1.5
+    A, B, C, Az, Bz, Cz = (arr[np.tile(mask[:-1, :-1].ravel(), 2)]
+                           for arr in verify._triangles(sol))
+    v0, v1 = B - A, C - A
+    den = v0.real * v1.imag - v0.imag * v1.real
+    W = lattice(2.2, 24)
+    ref = np.full(W.shape, np.nan + 0j)
+    for idx, w in np.ndenumerate(W):
+        v2 = w - A
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (v2.real * v1.imag - v2.imag * v1.real) / den
+            b = (v0.real * v2.imag - v0.imag * v2.real) / den
+        hits = np.flatnonzero((den != 0) & (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12))
+        if len(hits):
+            t = hits[0]
+            ref[idx] = Az[t] + a[t] * (Bz[t] - Az[t]) + b[t] * (Cz[t] - Az[t])
+    g = _locate(sol, 2.2, 24, mask)
+    assert np.isfinite(ref.real).any() and np.isnan(ref.real).any()
+    assert np.array_equal(g, ref, equal_nan=True)
+
+
+def test_verification_report_runs_injectivity_once(monkeypatch):
+    # the closed form is injective, so the inverse audit runs
+    calls = []
+    check = verify.injectivity_check
+
+    def counting(solution):
+        calls.append(1)
+        return check(solution)
+
+    monkeypatch.setattr(verify, "injectivity_check", counting)
+    report = verification_report(make_solution(constant_disk_closed_form),
+                                 builtin_catalog("constant-disk", [0.5]))
+    assert report.inverse["located_fraction"] > 0.99
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
