@@ -1,8 +1,9 @@
 """Command-line entry point: analyze, solve, verify, example, catalog.
 
 Exit codes: 0 completed, 1 usage, configuration or solver error, 2 majorant
-bound violated (with witness), 3 run completed but flagged (truncation
-ladder exhausted before its tolerance). Reports are JSON with sorted
+bound violated (with witness), 3 run completed but flagged (the ladder
+ended before its rungs were Cauchy, the untruncated residual exceeds
+residual_tol, or a rung stopped stalled or at max_outer). Reports are JSON with sorted
 keys, evidence ladders as CSV, grids in the BLGF binary format;
 identical configurations produce byte-identical reports.
 """

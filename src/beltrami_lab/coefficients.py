@@ -76,24 +76,6 @@ class CoefficientSpec:
         if self.support_radius <= 0:
             raise ValueError("support_radius must be positive")
 
-    @property
-    def is_w_independent(self) -> bool:
-        return not (_uses_w(self.mu_expr) or _uses_w(self.nu_expr))
-
-
-def _uses_w(node) -> bool:
-    from .expressions import BinOp, Func, Neg, Var
-
-    if isinstance(node, Var):
-        return node.name == "w"
-    if isinstance(node, Neg):
-        return _uses_w(node.arg)
-    if isinstance(node, Func):
-        return _uses_w(node.arg)
-    if isinstance(node, BinOp):
-        return _uses_w(node.left) or _uses_w(node.right)
-    return False
-
 
 def coefficient_fields(spec: CoefficientSpec, z, w, strict: bool = True):
     """Evaluate (mu, nu) on arrays of z and w values.

@@ -13,8 +13,6 @@ more do not.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -381,17 +379,14 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
                         bound=float(Q1v[idx]),
                     )
 
-    def probe_audit(z0):
+    probes = []
+    for z0 in probe_points:
         q1 = family(z0)
         delta = 0.5 * max(spec.support_radius - abs(z0), 1e-6)
         fmo = fmo_estimate(q1, z0)
         div = divergence_integral(q1, z0, delta)
         ok = fmo.verdict == LIKELY_FMO or div.verdict == DIVERGENT
-        return ProbeResult(z0=z0, fmo=fmo, divergence=div, hypothesis_ok=ok)
-
-    workers = int(os.environ.get("BELTRAMI_THREADS", "0")) or min(4, len(probe_points) or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        probes = list(pool.map(probe_audit, probe_points))
+        probes.append(ProbeResult(z0=z0, fmo=fmo, divergence=div, hypothesis_ok=ok))
 
     report = ConditionReport(
         label=spec.label,

@@ -58,10 +58,6 @@ class DegenerateNormalization(BeltramiLabError):
     """|f(1) - f(0)| too small to pin the normalization scale."""
 
 
-class OuterDivergence(BeltramiLabError):
-    """Outer (frozen-coefficient) iteration keeps diverging after damping."""
-
-
 class EmptyCompact(BeltramiLabError):
     """Compact-set margin leaves no grid samples."""
 

@@ -20,12 +20,12 @@ import numpy as np
 
 from .coefficients import BY_K, BY_Q, CoefficientSpec, TruncationPredicate, coefficient_fields, truncate_spec
 from .dilatation import elliptic_mask
-from .errors import EmptyCompact, NotContractive, OuterDivergence
+from .errors import EmptyCompact, NotContractive
 from .grid import GridField, coordinates
 from .linear_solver import LinearProblem, solve_linear
 from .verify import residual
 
-_DIVERGENCE_STREAK = 5
+_STALL_STREAK = 4
 _MIN_DAMPING = 0.125
 
 
@@ -43,8 +43,7 @@ class SolverConfig:
     max_inner: int = 500
     max_outer: int = 40
     compact_margins: tuple = (1.5, 1.0, 0.5)
-    trunc_mode: str = BY_K
-    q_majorant: object = None
+    q_majorant: object = None  # truncate by this majorant Q(z) when set, else by K
 
     def __post_init__(self):
         if not self.ladder or list(self.ladder) != sorted(set(self.ladder)):
@@ -56,8 +55,6 @@ class SolverConfig:
         margins = list(self.compact_margins)
         if not margins or margins != sorted(margins, reverse=True) or margins[-1] <= 0:
             raise ValueError("compact_margins must be non-empty, decreasing and positive")
-        if self.trunc_mode == BY_Q and self.q_majorant is None:
-            raise ValueError("BY_Q runs need a q_majorant")
 
 
 @dataclass
@@ -71,13 +68,14 @@ class LadderReport:
     quasi_residual: float = float("nan")
     degenerate_samples: int = 0
 
-    def add_rung(self, rung, outer_steps, linear_residual, distances):
+    def add_rung(self, rung, outer_steps, linear_residual, distances, stop):
         self.rungs.append(
             {
                 "rung": rung,
                 "outer_steps": outer_steps,
                 "residual": linear_residual,
                 "d": list(distances),
+                "stop": stop,
             }
         )
 
@@ -102,13 +100,17 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
     return float(np.abs(f.data - g.data)[mask].max())
 
 
-def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, mode=BY_K, q=None):
+def _rung_predicate(rung: int, q) -> TruncationPredicate:
+    """Truncation at a rung: by the majorant q when given, else by K."""
+    return TruncationPredicate(mode=BY_K if q is None else BY_Q, n=rung, q_evaluator=q)
+
+
+def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
     """Sample the rung-truncated coefficients at (z, f(z)) onto grids.
 
     The returned grids satisfy |mu| + |nu| <= (rung-1)/(rung+1).
     """
-    pred = TruncationPredicate(mode=mode, n=rung, q_evaluator=q)
-    trunc = truncate_spec(spec, pred)
+    trunc = truncate_spec(spec, _rung_predicate(rung, q))
     Z = f.z
     mu, nu = coefficient_fields(trunc, Z, f.data, strict=False)
     return GridField(f.L, mu), GridField(f.L, nu)
@@ -133,7 +135,15 @@ def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
 
 
 def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
-    """Run the full ladder; returns (final Solution, LadderReport)."""
+    """Run the full ladder; returns (final Solution, LadderReport).
+
+    Each rung ends its outer loop at exactly one stop, recorded in the
+    report: "tol" (the sup update fell below outer_tol, or the frozen
+    coefficients repeated, so the next solve would too), "stalled" (no
+    progress even at the smallest damping) or "max_outer". The ladder
+    converged when consecutive rungs are Cauchy, every rung stopped at
+    "tol" and the untruncated residual is within residual_tol.
+    """
     L, n = cfg.box, cfg.grid_n
     _check_uniform_ellipticity(spec, L, n)
     report = LadderReport(margins=tuple(cfg.compact_margins))
@@ -141,77 +151,69 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     f_current = GridField(L, coordinates(L, n).copy())
     solution = None
     prev_rung_f = None
+    cauchy = False
     for rung in cfg.ladder:
-        k_bound = TruncationPredicate(cfg.trunc_mode, rung, cfg.q_majorant).k_bound
+        k_bound = _rung_predicate(rung, cfg.q_majorant).k_bound
         lam = 1.0
-        rise_streak = 0
         stall_streak = 0
-        prev_update = np.inf
         best_update = np.inf
         outer_steps = 0
         prev_mu = prev_nu = None
         for _ in range(cfg.max_outer):
-            mu, nu = frozen_coefficient_fields(
-                spec, f_current, rung, mode=cfg.trunc_mode, q=cfg.q_majorant
-            )
+            mu, nu = frozen_coefficient_fields(spec, f_current, rung, q=cfg.q_majorant)
             if prev_mu is not None and np.array_equal(mu.data, prev_mu.data) and np.array_equal(
                 nu.data, prev_nu.data
             ):
-                break  # frozen coefficients stabilised; the solve would repeat
+                stop = "tol"  # frozen coefficients stabilised; the solve would repeat
+                break
             prev_mu, prev_nu = mu, nu
             outer_steps += 1
             prob = LinearProblem(mu=mu, nu=nu, k_bound=k_bound)
-            sol = solve_linear(
+            solution = solve_linear(
                 prob, cfg, support_radius=spec.support_radius, label=spec.label
             )
-            update = compact_sup_distance(sol.f, f_current, largest_margin)
-            if update > prev_update:
-                rise_streak += 1
-                if rise_streak >= _DIVERGENCE_STREAK:
-                    if lam <= _MIN_DAMPING:
-                        raise OuterDivergence(
-                            f"rung {rung}: sup updates rose {rise_streak} consecutive "
-                            f"steps at damping {lam:.3g}"
-                        )
-                    lam *= 0.5
-                    rise_streak = 0
-            else:
-                rise_streak = 0
+            update = compact_sup_distance(solution.f, f_current, largest_margin)
             # truncation-boundary cells can flip between steps and lock the
             # iteration into a cycle; damp when no real progress is made
             if update > 0.9 * best_update:
                 stall_streak += 1
-                if stall_streak >= 4:
+                if stall_streak >= _STALL_STREAK:
                     if lam <= _MIN_DAMPING:
-                        solution = sol
-                        break  # stalled cycle at minimum damping; keep the iterate
+                        stop = "stalled"  # cycle at minimum damping; keep the iterate
+                        break
                     lam *= 0.5
                     stall_streak = 0
                     best_update = np.inf
             else:
                 stall_streak = 0
             best_update = min(best_update, update)
-            prev_update = update
             if lam == 1.0:
-                f_current = sol.f
+                f_current = solution.f
             else:
-                f_current = GridField(L, (1 - lam) * f_current.data + lam * sol.f.data)
-            solution = sol
+                f_current = GridField(L, (1 - lam) * f_current.data + lam * solution.f.data)
             if update < cfg.outer_tol:
+                stop = "tol"
                 break
+        else:
+            stop = "max_outer"
         solution.rung = rung
         distances = (
             [compact_sup_distance(f_current, prev_rung_f, m) for m in cfg.compact_margins]
             if prev_rung_f is not None
             else [float("nan")] * len(cfg.compact_margins)
         )
-        report.add_rung(rung, outer_steps, solution.residual_l2_rel, distances)
+        report.add_rung(rung, outer_steps, solution.residual_l2_rel, distances, stop)
         report.final_rung = rung
         prev_rung_f = f_current
         if not np.isnan(distances[0]) and max(distances) < cfg.ladder_tol:
-            report.ladder_converged = True
+            cauchy = True
             break
     _, norms = residual(solution, spec)
     report.quasi_residual = norms["l2_rel"]
     report.degenerate_samples = norms["degenerate_samples"]
+    report.ladder_converged = (
+        cauchy
+        and report.quasi_residual <= cfg.residual_tol
+        and all(row["stop"] == "tol" for row in report.rungs)
+    )
     return solution, report

@@ -91,24 +91,28 @@ def _mass_coefficient(field: GridField, sigma: float) -> complex:
     return complex(field.data.sum() * field.h**2 / (np.pi * sigma**2))
 
 
+def _slug_carried(omega: GridField, which: int) -> np.ndarray:
+    """T omega (which=0) or S omega (which=1) as samples.
+
+    The multiplier acts on the mean-free remainder omega - c g; the
+    slug's mass c g is carried through its closed-form transform.
+    """
+    _check_support(omega.data, omega.L)
+    mult = _kernels(omega.L, omega.n)[which]
+    g, Tg, Sg, sigma = _slug(omega.L, omega.n)
+    c = _mass_coefficient(omega, sigma)
+    u = np.fft.ifft2(mult * np.fft.fft2(omega.data - c * g))
+    return u + c * (Tg, Sg)[which]
+
+
 def cauchy_transform(omega: GridField) -> GridField:
     """T omega with dbar(T omega) = omega and decay at infinity."""
-    _check_support(omega.data, omega.L)
-    mult_T, _, _, _ = _kernels(omega.L, omega.n)
-    g, Tg, _, sigma = _slug(omega.L, omega.n)
-    c = _mass_coefficient(omega, sigma)
-    u = np.fft.ifft2(mult_T * np.fft.fft2(omega.data - c * g))
-    return GridField(omega.L, u + c * Tg)
+    return GridField(omega.L, _slug_carried(omega, 0))
 
 
 def beurling_transform(omega: GridField) -> GridField:
     """S omega = d(T omega); unimodular multiplier, L2 isometry on mean-zero input."""
-    _check_support(omega.data, omega.L)
-    _, mult_S, _, _ = _kernels(omega.L, omega.n)
-    g, _, Sg, sigma = _slug(omega.L, omega.n)
-    c = _mass_coefficient(omega, sigma)
-    u = np.fft.ifft2(mult_S * np.fft.fft2(omega.data - c * g))
-    return GridField(omega.L, u + c * Sg)
+    return GridField(omega.L, _slug_carried(omega, 1))
 
 
 def derivatives(f: GridField, method: str = "spectral") -> DerivativePair:

@@ -208,6 +208,15 @@ def test_criterion_4_quasilinear_example_run(sec4_256):
     )
 
 
+def test_sec4_256_stalled_rung_is_flagged(sec4_256):
+    # rung 8 cycles at the smallest damping; the ladder still reaches 64 and
+    # is Cauchy, but a stalled rung means the run is not reported converged
+    _, _, rep, _ = sec4_256
+    stops = {row["rung"]: row["stop"] for row in rep.rungs}
+    assert stops == {2: "tol", 4: "tol", 8: "stalled", 16: "tol", 32: "tol", 64: "tol"}
+    assert not rep.ladder_converged
+
+
 def test_criterion_5_dilatation_identities():
     rng = np.random.default_rng(17)
     n = 10_000

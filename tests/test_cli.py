@@ -219,3 +219,14 @@ def test_config_file_equals_flags(tmp_path):
                     "--out", str(tmp_path / name)]) == 3
     assert ((tmp_path / "file" / "ladder.json").read_bytes()
             == (tmp_path / "flags" / "ladder.json").read_bytes())
+
+
+def test_truncated_identity_ladder_exits_3(tmp_path):
+    # K = 49: rungs 2 and 4 zero the whole coefficient, so two identity maps
+    # pass the Cauchy test while the untruncated residual is k itself
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.96", "--grid", "128", "--out", str(out)]) == 3
+    ladder = json.loads((out / "ladder.json").read_text())
+    assert ladder["quasi_residual"] == pytest.approx(0.96)
+    assert [(row["rung"], row["stop"]) for row in ladder["rungs"]] == [(2, "tol"), (4, "tol")]
+    assert not ladder["ladder_converged"]

@@ -183,8 +183,3 @@ def test_spec_serializers_round_trip_catalog(name, tmp_path):
         assert (loaded.label, loaded.support_radius) == (spec.label, spec.support_radius)
         for got, want in zip(coefficient_fields(loaded, Z, W, strict=False), expected):
             np.testing.assert_array_equal(got, want)
-
-
-def test_w_independence_flag():
-    assert builtin_catalog("constant-disk", [0.5]).is_w_independent
-    assert not builtin_catalog("paper-example-sec4").is_w_independent

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beltrami_lab.coefficients import (
-    BY_Q,
     CoefficientSpec,
     builtin_catalog,
     parse_coefficient_expr,
@@ -163,7 +162,7 @@ def test_by_q_with_exact_majorant_matches_by_k():
     # Q is K of mu = 0.9 r itself, so both modes zero the same samples
     spec = builtin_catalog("radial-power", [0.9, 1])
     by_k = SolverConfig(grid_n=64, box=L, ladder=(2, 4, 8, 16, 32))
-    by_q = replace(by_k, trunc_mode=BY_Q, q_majorant=parse_majorant("(1+0.9*r)/(1-0.9*r)"))
+    by_q = replace(by_k, q_majorant=parse_majorant("(1+0.9*r)/(1-0.9*r)"))
     sol_k, report_k = solve_quasilinear(spec, by_k)
     sol_q, report_q = solve_quasilinear(spec, by_q)
     np.testing.assert_array_equal(sol_q.f.data, sol_k.f.data)
@@ -173,7 +172,35 @@ def test_by_q_with_exact_majorant_matches_by_k():
 def test_by_q_with_too_weak_majorant_raises():
     # 1/r does not bound K(z, f(z)) of sec4 near |z| = 1, where |f| is large,
     # so truncating by it keeps samples above the rung's ellipticity bound
-    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4), trunc_mode=BY_Q,
-                       q_majorant=parse_majorant("1/r"))
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4), q_majorant=parse_majorant("1/r"))
     with pytest.raises(EllipticityViolation, match="majorant too weak"):
         solve_quasilinear(builtin_catalog("paper-example-sec4"), cfg)
+
+
+def test_capped_rungs_are_not_converged():
+    # every rung of sec4 needs more than two outer steps, so each one is capped
+    cfg = SolverConfig(grid_n=64, box=L, max_outer=2)
+    _, report = solve_quasilinear(builtin_catalog("paper-example-sec4"), cfg)
+    assert [row["stop"] for row in report.rungs] == ["max_outer"] * len(report.rungs)
+    assert all(row["outer_steps"] == 2 for row in report.rungs)
+    assert not report.ladder_converged
+
+
+def test_stop_records_cap_and_stall():
+    # outer_tol below round-off: rung 2 runs out of steps, rung 4 stalls at
+    # the smallest damping; the residual alone would pass
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4), outer_tol=1e-16)
+    _, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.5]), cfg)
+    assert [(row["outer_steps"], row["stop"]) for row in report.rungs] == [
+        (40, "max_outer"), (35, "stalled")]
+    assert report.quasi_residual <= cfg.residual_tol
+    assert not report.ladder_converged
+
+
+def test_rising_updates_end_the_rung_stalled():
+    # a strongly w-dependent phase makes the outer updates rise for five
+    # steps in a row at the smallest damping; the rung ends stalled
+    spec = CoefficientSpec(mu_expr=parse_coefficient_expr("0.6*exp(i*16*re(w))"), label="wild")
+    _, report = solve_quasilinear(spec, SolverConfig(grid_n=32, box=L, ladder=(4, 8)))
+    assert [row["stop"] for row in report.rungs] == ["stalled", "stalled"]
+    assert not report.ladder_converged
