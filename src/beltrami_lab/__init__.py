@@ -8,16 +8,14 @@ oscillation, divergence integrals) on concrete coefficient formulas.
 """
 
 from .coefficients import (
-    BY_K,
-    BY_Q,
     CoefficientSpec,
-    TruncationPredicate,
     builtin_catalog,
     eval_coefficients,
     load_spec_file,
     parse_coefficient_expr,
     save_spec_file,
-    truncate_spec,
+    rung_bound,
+    truncate,
 )
 from .conditions import (
     MajorantSpec,

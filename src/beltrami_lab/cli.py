@@ -80,8 +80,8 @@ def cmd_catalog(args):
 def cmd_analyze(args):
     spec = _resolve_spec(args.spec)
     out = _outdir(args, "analyze-out")
-    Q = conditions.parse_majorant(args.Q, role="Q")
-    q1 = conditions.parse_majorant(args.Q1, role="Q1")
+    Q = conditions.parse_majorant(args.Q)
+    q1 = conditions.parse_majorant(args.Q1)
     report = conditions.audit_theorem1(spec, Q, q1, args.z0, w_max=args.w_max)
     _write_json(report.to_dict(), out / "conditions.json")
     for i, probe in enumerate(report.probes):
@@ -308,14 +308,18 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # the file's keys become flags ahead of the command line, whose values win
+        # --config is read before the full parse, so the file may supply
+        # required flags; its keys become flags ahead of the command line,
+        # whose values win
+        pre = _Parser(prog="beltrami-lab", add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv)[0].config
+        if config:
             file_flags = [f"--{key.replace('_', '-')}={val}"
-                          for key, val in coefficients.read_key_values(args.config).items()]
-            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+                          for key, val in coefficients.read_key_values(config).items()]
+            argv = argv[:1] + file_flags + argv[1:]
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Two-characteristic coefficient specifications mu(z, w), nu(z, w).
 
-A CoefficientSpec bundles expression trees for both characteristics, a
-compact support radius (both vanish where |z| > support_radius) and an
-optional stack of truncation predicates. Truncation by K zeroes the
-coefficients wherever their own maximal dilatation exceeds the rung n,
-truncation by Q wherever a user-supplied majorant Q(z) exceeds n; either
-way the truncated pair satisfies |mu_n| + |nu_n| <= (n-1)/(n+1).
+A CoefficientSpec bundles expression trees for both characteristics and
+a compact support radius (both vanish where |z| > support_radius).
+`truncate` cuts sampled coefficients down to a rung n: by K it zeroes
+them wherever their own maximal dilatation exceeds n, by Q wherever a
+user-supplied majorant Q(z) exceeds n; either way the truncated pair
+satisfies |mu_n| + |nu_n| <= rung_bound(n) = (n-1)/(n+1).
 
 Evaluation is Caratheodory-shaped: measurable (here: deterministic and
 pointwise) in z, continuous in w wherever the formulas are.
@@ -13,7 +13,7 @@ pointwise) in z, continuous in w wherever the formulas are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,39 +27,10 @@ from .expressions import (
     standard_env,
 )
 
-BY_K = "by_k"
-BY_Q = "by_q"
-
 
 def parse_coefficient_expr(text: str):
     """Parse a coefficient expression over the variables {z, w, r, theta}."""
     return parse_expression(text, COEFFICIENT_VARIABLES)
-
-
-@dataclass(frozen=True)
-class TruncationPredicate:
-    """Keep coefficients where the predicate holds, zero them elsewhere.
-
-    BY_K keeps points with K_{mu,nu}(z, w) <= n, which depends on (z, w)
-    through the coefficients only. BY_Q keeps points with Q(z) <= n for a
-    scalar majorant q_evaluator(z) -> real array.
-    """
-
-    mode: str
-    n: int
-    q_evaluator: object = None
-
-    def __post_init__(self):
-        if self.mode not in (BY_K, BY_Q):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.n < 1:
-            raise ValueError(f"truncation threshold must be >= 1, got {self.n}")
-        if self.mode == BY_Q and self.q_evaluator is None:
-            raise ValueError("BY_Q truncation needs a majorant evaluator")
-
-    @property
-    def k_bound(self) -> float:
-        return (self.n - 1.0) / (self.n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -70,7 +41,6 @@ class CoefficientSpec:
     nu_expr: object = ZERO
     support_radius: float = 1.0
     label: str = ""
-    truncations: tuple = field(default=())
 
     def __post_init__(self):
         if self.support_radius <= 0:
@@ -78,12 +48,11 @@ class CoefficientSpec:
 
 
 def coefficient_fields(spec: CoefficientSpec, z, w, strict: bool = True):
-    """Evaluate (mu, nu) on arrays of z and w values.
+    """Evaluate (mu, nu) on arrays of z and w values, zero outside the support.
 
-    Applies the support cut and every truncation predicate. With
-    strict=True an ellipticity failure |mu|+|nu| >= 1 at a surviving
-    sample raises; strict=False returns the raw values (the caller masks
-    degenerate samples itself).
+    With strict=True an ellipticity failure |mu|+|nu| >= 1 at any sample
+    raises; strict=False returns the raw values (the caller masks or
+    truncates degenerate samples itself).
     """
     z = np.asarray(z, dtype=complex)
     w = np.broadcast_to(np.asarray(w, dtype=complex), z.shape)
@@ -94,23 +63,6 @@ def coefficient_fields(spec: CoefficientSpec, z, w, strict: bool = True):
     outside = np.abs(z) > spec.support_radius
     mu[outside] = 0.0
     nu[outside] = 0.0
-    for pred in spec.truncations:
-        s = np.abs(mu) + np.abs(nu)
-        if pred.mode == BY_K:
-            keep = s <= pred.k_bound + 1e-15
-        else:
-            q = np.real(np.asarray(pred.q_evaluator(z)))
-            keep = q <= pred.n
-        mu = np.where(keep, mu, 0.0)
-        nu = np.where(keep, nu, 0.0)
-        s_kept = np.abs(mu) + np.abs(nu)
-        bad = (s_kept > pred.k_bound + 1e-12) | ~np.isfinite(s_kept)
-        if np.any(bad):
-            zb = z[bad].ravel()[0]
-            raise EllipticityViolation(
-                f"{spec.label or 'spec'}: |mu|+|nu| = {s_kept[bad].ravel()[0]:.6g} "
-                f"survives truncation at rung {pred.n} (z = {zb:.6g}); majorant too weak"
-            )
     if strict:
         s = np.abs(mu) + np.abs(nu)
         bad = ~(s < 1.0)
@@ -129,9 +81,37 @@ def eval_coefficients(spec: CoefficientSpec, z: complex, w: complex):
     return complex(mu[0]), complex(nu[0])
 
 
-def truncate_spec(spec: CoefficientSpec, pred: TruncationPredicate) -> CoefficientSpec:
-    """Stack one more truncation predicate onto the spec."""
-    return replace(spec, truncations=spec.truncations + (pred,))
+def rung_bound(n) -> float:
+    """The ellipticity bound (n-1)/(n+1) of coefficients truncated at rung n."""
+    return (n - 1.0) / (n + 1.0)
+
+
+def truncate(mu, nu, n, q=None, z=None):
+    """Zero, in place, the samples of (mu, nu) that fail the test of rung n.
+
+    By K (q is None) a sample is kept where |mu|+|nu| <= rung_bound(n),
+    i.e. where its maximal dilatation is at most n; non-finite samples go.
+    By Q a sample is kept where the majorant q(z) <= n, and a kept sample
+    that is non-finite or above rung_bound(n) means q does not majorize K.
+    Returns (mu, nu); zeroing in place keeps grid-sized copies out of the
+    solver's outer loop.
+    """
+    bound = rung_bound(n)
+    if q is None:
+        drop = ~(np.abs(mu) + np.abs(nu) <= bound + 1e-15)
+    else:
+        drop = ~(np.real(np.asarray(q(z))) <= n)
+    mu[drop] = 0.0
+    nu[drop] = 0.0
+    if q is not None:
+        s = np.abs(mu) + np.abs(nu)
+        bad = ~(s <= bound + 1e-12)
+        if np.any(bad):
+            raise EllipticityViolation(
+                f"|mu|+|nu| = {s[bad].ravel()[0]:.6g} survives truncation at rung {n} "
+                f"(z = {z[bad].ravel()[0]:.6g}); majorant too weak"
+            )
+    return mu, nu
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +213,7 @@ def builtin_catalog(name: str, params=()) -> CoefficientSpec:
 # solution archives and, as key = value text, into spec files
 
 def spec_to_dict(spec: CoefficientSpec) -> dict:
-    """The label, printed mu and nu, and support radius of a spec (truncations are dropped)."""
+    """The label, printed mu and nu, and support radius of a spec."""
     return {
         "label": spec.label,
         "mu": format_expression(spec.mu_expr),

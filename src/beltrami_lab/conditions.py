@@ -46,8 +46,6 @@ class MajorantSpec:
     """Scalar majorant of z, nonnegative extended-real where defined."""
 
     tree: object
-    role: str = "Q"
-    label: str = ""
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -55,8 +53,8 @@ class MajorantSpec:
         return np.broadcast_to(np.real(vals), z.shape).copy() if z.shape else float(np.real(vals))
 
 
-def parse_majorant(text: str, role: str = "Q") -> MajorantSpec:
-    return MajorantSpec(tree=parse_expression(text, MAJORANT_VARIABLES), role=role, label=text)
+def parse_majorant(text: str) -> MajorantSpec:
+    return MajorantSpec(tree=parse_expression(text, MAJORANT_VARIABLES))
 
 
 def parse_radial_weight(text: str):
@@ -311,7 +309,7 @@ def _w_samples(w_max: float):
     return np.concatenate([[0.0 + 0.0j]] + [m * phases for m in mags])
 
 
-def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_points,
+def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
                    w_max: float = 100.0) -> ConditionReport:
     """Check K <= Q and K^T <= Q1 by sampling, then run the FMO and
     divergence audits of Q1 at every probe point.
@@ -319,18 +317,15 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
     Bounds are sampled at 24 random z (seed 0) and 64 phases; the
     divergence integral at z0 ends at half its distance to the support.
 
-    q1_family maps a probe z0 to its majorant; a bare MajorantSpec is
-    used for every probe. The per-probe hypothesis holds if either the
-    FMO verdict is LIKELY_FMO or the divergence verdict is DIVERGENT.
+    Q and q1 are majorants, callables of a z array such as a
+    MajorantSpec; q1 serves every probe. The per-probe hypothesis holds
+    if either the FMO verdict is LIKELY_FMO or the divergence verdict is
+    DIVERGENT.
     The w sample ladder tops out at w_max; bounds that only hold on a
     restricted range of |w| (the unit-disk example is one) need the
     matching w_max or the audit raises BoundViolation with a witness.
     """
     probe_points = [complex(p) for p in probe_points]
-    if isinstance(q1_family, MajorantSpec) or not callable(q1_family):
-        family = lambda z0: q1_family
-    else:
-        family = q1_family
     rng = np.random.default_rng(0)
     radii = spec.support_radius * np.sqrt(rng.uniform(0.001, 0.97, 24))
     angles = rng.uniform(0.0, 2.0 * np.pi, 24)
@@ -339,10 +334,10 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
     w_values = _w_samples(w_max)
 
     worst_k = -np.inf
+    Qv = Q(z_samples)
     for w in w_values:
         mu, nu = coefficient_fields(spec, z_samples, np.full_like(z_samples, w), strict=False)
         K = maximal_dilatation(mu, nu)
-        Qv = Q(z_samples)
         with np.errstate(invalid="ignore"):
             gap = np.where(np.isinf(Qv), -np.inf, K - Qv)
         k_gap = float(np.nanmax(gap))
@@ -358,7 +353,6 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
 
     worst_kt = -np.inf
     for z0 in probe_points:
-        q1 = family(z0)
         samples = z_samples[np.abs(z_samples - z0) > 1e-9]
         Q1v = q1(samples)
         for w in w_values:
@@ -381,7 +375,6 @@ def audit_theorem1(spec: CoefficientSpec, Q: MajorantSpec, q1_family, probe_poin
 
     probes = []
     for z0 in probe_points:
-        q1 = family(z0)
         delta = 0.5 * max(spec.support_radius - abs(z0), 1e-6)
         fmo = fmo_estimate(q1, z0)
         div = divergence_integral(q1, z0, delta)

@@ -1,14 +1,14 @@
 """Truncation ladder plus outer Picard iteration for the quasilinear equation.
 
-For each rung n of the ladder the coefficients are truncated so that
-their maximal dilatation stays below n (hence |mu_n| + |nu_n| <=
-(n-1)/(n+1)), the w-dependence is frozen at the current iterate,
-mu_n(z, f(z)) is sampled onto the grid, and the linear solver runs; the
-outer loop repeats until the sup-norm update on the largest tracked
-compact stalls below tolerance. Rungs warm-start from the previous
-limit, and the ladder stops once consecutive rung solutions are Cauchy
-on every tracked compact (the computable surrogate for locally uniform
-convergence of the truncated solutions).
+For each rung n of the ladder the w-dependence is frozen at the current
+iterate, (mu, nu)(z, f(z)) is sampled onto the grid and truncated at n
+(`coefficients.truncate`: by K, or by a majorant Q when one is given,
+hence |mu_n| + |nu_n| <= rung_bound(n) = (n-1)/(n+1)), and the linear
+solver runs; the outer loop repeats until the sup-norm update on the
+largest tracked compact stalls below tolerance. Rungs warm-start from
+the previous limit, and the ladder stops once consecutive rung
+solutions are Cauchy on every tracked compact (the computable surrogate
+for locally uniform convergence of the truncated solutions).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coefficients import BY_K, BY_Q, CoefficientSpec, TruncationPredicate, coefficient_fields, truncate_spec
+from .coefficients import CoefficientSpec, coefficient_fields, rung_bound, truncate
 from .dilatation import elliptic_mask
 from .errors import EmptyCompact, NotContractive
 from .grid import GridField, coordinates
@@ -48,6 +48,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.ladder or list(self.ladder) != sorted(set(self.ladder)):
             raise ValueError("ladder must be non-empty and strictly increasing")
+        if self.ladder[0] < 1:
+            raise ValueError(f"ladder rungs must be >= 1, got {self.ladder[0]}")
         for name in ("inner_tol", "outer_tol", "ladder_tol", "residual_tol",
                      "max_inner", "max_outer"):
             if getattr(self, name) <= 0:
@@ -100,19 +102,14 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
     return float(np.abs(f.data - g.data)[mask].max())
 
 
-def _rung_predicate(rung: int, q) -> TruncationPredicate:
-    """Truncation at a rung: by the majorant q when given, else by K."""
-    return TruncationPredicate(mode=BY_K if q is None else BY_Q, n=rung, q_evaluator=q)
-
-
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
-    """Sample the rung-truncated coefficients at (z, f(z)) onto grids.
+    """Sample the coefficients at (z, f(z)) onto grids, truncated at the rung.
 
-    The returned grids satisfy |mu| + |nu| <= (rung-1)/(rung+1).
+    Truncation is by the majorant q when given, else by K. The returned
+    grids satisfy |mu| + |nu| <= rung_bound(rung).
     """
-    trunc = truncate_spec(spec, _rung_predicate(rung, q))
     Z = f.z
-    mu, nu = coefficient_fields(trunc, Z, f.data, strict=False)
+    mu, nu = truncate(*coefficient_fields(spec, Z, f.data, strict=False), rung, q, Z)
     return GridField(f.L, mu), GridField(f.L, nu)
 
 
@@ -153,7 +150,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     prev_rung_f = None
     cauchy = False
     for rung in cfg.ladder:
-        k_bound = _rung_predicate(rung, cfg.q_majorant).k_bound
+        k_bound = rung_bound(rung)
         lam = 1.0
         stall_streak = 0
         best_update = np.inf

@@ -13,13 +13,11 @@ import pytest
 
 from beltrami_lab.cli import main as cli_main
 from beltrami_lab.coefficients import (
-    BY_K,
     CoefficientSpec,
-    TruncationPredicate,
     builtin_catalog,
     coefficient_fields,
     parse_coefficient_expr,
-    truncate_spec,
+    truncate,
 )
 from beltrami_lab.dilatation import (
     inner_dilatation_p,
@@ -241,10 +239,9 @@ def test_criterion_5_dilatation_identities():
     ok_trunc = True
     worst = {}
     for rung in (2, 4, 8):
-        trunc = truncate_spec(spec, TruncationPredicate(mode=BY_K, n=rung))
         zg = 0.99 * np.sqrt(rng.uniform(0, 1, 4096)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4096))
         wg = rng.exponential(0.4, 4096) * np.exp(2j * np.pi * rng.uniform(0, 1, 4096))
-        m, nn = coefficient_fields(trunc, zg, wg)
+        m, nn = truncate(*coefficient_fields(spec, zg, wg), rung)
         smax = float((np.abs(m) + np.abs(nn)).max())
         worst[rung] = smax
         ok_trunc &= smax <= (rung - 1) / (rung + 1) + 1e-12

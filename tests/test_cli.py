@@ -221,6 +221,17 @@ def test_config_file_equals_flags(tmp_path):
             == (tmp_path / "flags" / "ladder.json").read_bytes())
 
 
+def test_config_file_supplies_required_flags(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("spec = constant-disk:0.5\ngrid = 64\nladder = 2,4,8\n")
+    out = tmp_path / "run"
+    assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    check = tmp_path / "check.ini"
+    check.write_text(f"archive = {out}\n")
+    assert run(["verify", "--config", str(check), "--out", str(tmp_path / "v")]) == 0
+    assert (tmp_path / "v" / "verification.json").exists()
+
+
 def test_truncated_identity_ladder_exits_3(tmp_path):
     # K = 49: rungs 2 and 4 zero the whole coefficient, so two identity maps
     # pass the Cauchy test while the untruncated residual is k itself

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami_lab.coefficients import (
-    BY_K,
-    BY_Q,
     CATALOG,
     CoefficientSpec,
-    TruncationPredicate,
     builtin_catalog,
     coefficient_fields,
     eval_coefficients,
@@ -19,7 +16,8 @@ from beltrami_lab.coefficients import (
     save_spec_file,
     spec_from_dict,
     spec_to_dict,
-    truncate_spec,
+    rung_bound,
+    truncate,
 )
 from beltrami_lab.errors import EllipticityViolation, ParamOutOfRange, UnknownCatalogEntry
 
@@ -68,11 +66,10 @@ def test_catalog_param_out_of_range():
 
 def test_truncation_noop_when_predicate_always_true():
     spec = builtin_catalog("constant-disk", [0.5])  # K = 3 everywhere on the disk
-    trunc = truncate_spec(spec, TruncationPredicate(mode=BY_K, n=10))
     z = np.array([0.2, 0.5 + 0.3j, 0.9j])
     w = np.zeros(3)
     np.testing.assert_array_equal(
-        coefficient_fields(trunc, z, w)[0], coefficient_fields(spec, z, w)[0]
+        truncate(*coefficient_fields(spec, z, w), 10)[0], coefficient_fields(spec, z, w)[0]
     )
 
 
@@ -80,9 +77,8 @@ def test_truncation_by_q_zeroes_inner_disk():
     # Q(z) = 1/r <= 4 keeps exactly r >= 1/4
     spec = builtin_catalog("paper-example-sec4")
     q = lambda z: 1.0 / np.abs(z)
-    trunc = truncate_spec(spec, TruncationPredicate(mode=BY_Q, n=4, q_evaluator=q))
     z = np.array([0.1, 0.2, 0.25, 0.3, 0.8])
-    mu, _ = coefficient_fields(trunc, z, np.zeros(5), strict=False)
+    mu, _ = truncate(*coefficient_fields(spec, z, np.zeros(5), strict=False), 4, q, z)
     assert np.all(mu[:2] == 0)
     assert np.all(mu[2:] != 0)
 
@@ -90,16 +86,14 @@ def test_truncation_by_q_zeroes_inner_disk():
 def test_truncation_by_k_kills_constant_disk_above_rung():
     # K = (1+0.9)/(1-0.9) = 19 > 10 zeroes the coefficient everywhere
     spec = builtin_catalog("constant-disk", [0.9])
-    trunc = truncate_spec(spec, TruncationPredicate(mode=BY_K, n=10))
     z = np.linspace(0.05, 0.95, 7).astype(complex)
-    mu, nu = coefficient_fields(trunc, z, np.zeros(7))
+    mu, nu = truncate(*coefficient_fields(spec, z, np.zeros(7)), 10)
     assert np.all(mu == 0) and np.all(nu == 0)
 
 
 def test_truncated_sec4_never_raises_at_degenerate_point():
-    spec = truncate_spec(builtin_catalog("paper-example-sec4"),
-                         TruncationPredicate(mode=BY_K, n=8))
-    mu, nu = coefficient_fields(spec, np.array([0j]), np.array([0j]))
+    spec = builtin_catalog("paper-example-sec4")
+    mu, nu = truncate(*coefficient_fields(spec, np.array([0j]), np.array([0j]), strict=False), 8)
     assert mu[0] == 0 and nu[0] == 0
 
 
@@ -116,8 +110,8 @@ def test_truncation_monotonicity(n1, n2, k):
     rng = np.random.default_rng(7)
     z = 0.97 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
     w = k * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
-    mu1, _ = coefficient_fields(truncate_spec(spec, TruncationPredicate(BY_K, n1)), z, w)
-    mu2, _ = coefficient_fields(truncate_spec(spec, TruncationPredicate(BY_K, n2)), z, w)
+    mu1, _ = truncate(*coefficient_fields(spec, z, w), n1)
+    mu2, _ = truncate(*coefficient_fields(spec, z, w), n2)
     kept1 = mu1 != 0
     kept2 = mu2 != 0
     assert np.all(kept2[kept1])
@@ -125,14 +119,44 @@ def test_truncation_monotonicity(n1, n2, k):
 
 @pytest.mark.parametrize("rung", [2, 4, 8])
 def test_post_truncation_ellipticity(rung):
-    spec = truncate_spec(builtin_catalog("paper-example-sec4"),
-                         TruncationPredicate(mode=BY_K, n=rung))
+    spec = builtin_catalog("paper-example-sec4")
     rng = np.random.default_rng(3)
     z = 0.99 * np.sqrt(rng.uniform(0, 1, 512)) * np.exp(2j * np.pi * rng.uniform(0, 1, 512))
     w = rng.exponential(0.5, 512) * np.exp(2j * np.pi * rng.uniform(0, 1, 512))
-    mu, nu = coefficient_fields(spec, z, w)
+    mu, nu = truncate(*coefficient_fields(spec, z, w), rung)
     s = np.abs(mu) + np.abs(nu)
     assert s.max() <= (rung - 1) / (rung + 1) + 1e-12
+
+
+def test_truncation_by_k_zeroes_non_finite_samples():
+    mu = np.array([np.nan, np.inf, 0.2 + 0.1j, complex(np.nan, 1.0)])
+    nu = np.array([0.0, 0.0, np.inf, 0.0], dtype=complex)
+    mu_n, nu_n = truncate(mu, nu, 8)
+    np.testing.assert_array_equal(mu_n, 0)
+    np.testing.assert_array_equal(nu_n, 0)
+
+
+def test_non_finite_sample_kept_by_q_raises():
+    # Q = 1 keeps every sample at rung 2, including the one that is not finite
+    z = np.array([0.3, 0.5])
+    mu = np.array([0.1, np.nan], dtype=complex)
+    with pytest.raises(EllipticityViolation, match="majorant too weak"):
+        truncate(mu, np.zeros(2, dtype=complex), 2, lambda z: np.ones(z.shape), z)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**16))
+def test_truncation_bounded_by_rung_bound(n, seed):
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0, 1.5, 256) * np.exp(2j * np.pi * rng.uniform(0, 1, 256))
+    nu = rng.uniform(0, 1.5, 256) * np.exp(2j * np.pi * rng.uniform(0, 1, 256))
+    mu_n, nu_n = truncate(mu.copy(), nu.copy(), n)
+    s = np.abs(mu_n) + np.abs(nu_n)
+    assert rung_bound(n) == (n - 1) / (n + 1)
+    assert s.max() <= rung_bound(n) + 1e-15
+    # kept samples are untouched
+    kept = s > 0
+    np.testing.assert_array_equal(mu_n[kept], mu[kept])
 
 
 def test_caratheodory_continuity_in_w():

@@ -140,6 +140,14 @@ def test_audit_constant_disk_trivial():
     assert probe.hypothesis_ok
 
 
+def test_audit_takes_a_plain_callable_q1():
+    spec = builtin_catalog("constant-disk", [0.5])
+    Q = parse_majorant("3")
+    plain = audit_theorem1(spec, Q, lambda z: np.full(np.shape(z), 3.0), [0.0, 0.2])
+    parsed = audit_theorem1(spec, Q, Q, [0.0, 0.2])
+    assert plain.to_dict() == parsed.to_dict()
+
+
 def test_audit_sec4_bounds_on_restricted_w_range():
     # the printed bound K <= 1/r holds where r + |w| <= 1; restricting the
     # sampled |w| below 1 - max r keeps the audit inside that regime

@@ -34,6 +34,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("ladder", ()), ("compact_margins", ()), ("max_inner", 0), ("max_outer", 0),
+    ("ladder", (0, 2)),
 ])
 def test_config_rejects_empty_or_zero(field, value):
     with pytest.raises(ValueError, match=field):
