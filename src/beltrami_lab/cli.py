@@ -22,11 +22,10 @@ import numpy as np
 
 from . import coefficients, conditions, verify
 from .coefficients import CATALOG, builtin_catalog, load_spec_file, spec_from_dict, spec_to_dict
-from .dilatation import jacobian, tangential_dilatation
+from .dilatation import tangential_dilatation
 from .errors import BeltramiLabError, BoundViolation, ConfigError
 from .linear_solver import save_solution
 from .quasilinear import SolverConfig, solve_quasilinear
-from .verify import write_ppm
 
 
 def _resolve_spec(name_or_path):
@@ -133,12 +132,8 @@ def cmd_verify(args):
         spec = spec_from_dict(meta["spec"])
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
-    report = verify.verification_report(solution, spec)
+    report = verify.verification_report(solution, spec, heatmaps=out if args.heatmaps else None)
     report.to_json(out / "verification.json")
-    if args.heatmaps:
-        res_field, _ = verify.residual(solution, spec)
-        write_ppm(np.abs(res_field.data), out / "residual.ppm")
-        write_ppm(jacobian(solution.fz.data, solution.fzbar.data), out / "jacobian.ppm")
     print(f"residual {report.residual_l2_rel:.3e} "
           f"(sup {report.residual_sup:.3e}, degenerate samples {report.degenerate_samples})")
     print(f"jacobian min {report.jacobian['min']:.3e}, "

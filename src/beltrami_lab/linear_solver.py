@@ -8,12 +8,14 @@ ansatz turns the equation into
     omega = mu (1 + S omega) + nu conj(1 + S omega),
 
 a contraction on L2 with factor k = sup(|mu| + |nu|) < 1 because S is an
-isometry, so Picard iteration from omega = 0 converges geometrically.
-The assembled solution carries its derivative grids from the ansatz
-relations f_z = 1 + S omega, f_zbar = omega (spectrally exact), and is
-normalised to f(0) = 0, |f(1)| = 1: translation and positive real
-scaling preserve the equation exactly, while the rotation that would pin
-arg f(1) = 0 would conjugate nu, so only arg f(1) is reported.
+isometry, so Picard iteration converges geometrically from any start:
+omega = 0 by default, or a given iterate (the quasilinear outer loop
+passes the previous solve's raw omega). The assembled solution carries
+its derivative grids from the ansatz relations f_z = 1 + S omega,
+f_zbar = omega (spectrally exact), and is normalised to f(0) = 0,
+|f(1)| = 1: translation and positive real scaling preserve the equation
+exactly, while the rotation that would pin arg f(1) = 0 would conjugate
+nu, so only arg f(1) is reported.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ class Solution:
     residual_l2_rel: float
     support_radius: float
     label: str = ""
+    omega: np.ndarray = None  # raw fixed point before normalization; not archived
 
 
 def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
@@ -116,22 +119,25 @@ def normalize_solution(f, fz, fzbar, L, n):
     return scale * f_shift, scale * fz, scale * fzbar, norm
 
 
-def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="") -> Solution:
-    """Iterate picard_step from omega = 0 until the relative L2 update drops
-    below cfg.inner_tol, then assemble and normalise the principal solution."""
+def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0=None,
+                 tol=None) -> Solution:
+    """Iterate picard_step from omega0 (default omega = 0) until the relative
+    L2 update drops below tol (default cfg.inner_tol), then assemble and
+    normalise the principal solution."""
     if prob.k_bound >= 1.0:
         raise NotContractive(f"k_bound = {prob.k_bound:.6g} >= 1")
     L, n = prob.mu.L, prob.mu.n
     if L <= 1.0:
         raise ValueError("box must contain the normalization points 0 and 1 strictly")
-    omega = grid.zeros(L, n)
+    tol = cfg.inner_tol if tol is None else tol
+    omega = grid.zeros(L, n) if omega0 is None else GridField(L, omega0)
     trace = IterationTrace()
     for _ in range(cfg.max_inner):
         omega_next = picard_step(omega, prob)
         update = float(np.linalg.norm(omega_next.data - omega.data) * omega.h)
         trace.record(update)
         omega = omega_next
-        if update < cfg.inner_tol * max(1.0, omega.norm_l2()):
+        if update < tol * max(1.0, omega.norm_l2()):
             trace.converged = True
             break
     if not trace.converged:
@@ -158,6 +164,7 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="") -> Sol
         residual_l2_rel=residual,
         support_radius=L / 2 if support_radius is None else support_radius,
         label=label,
+        omega=omega.data,
     )
 
 

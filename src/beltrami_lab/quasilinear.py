@@ -9,6 +9,14 @@ largest tracked compact stalls below tolerance. Rungs warm-start from
 the previous limit, and the ladder stops once consecutive rung
 solutions are Cauchy on every tracked compact (the computable surrogate
 for locally uniform convergence of the truncated solutions).
+
+The inner solves are inexact (the forcing-term rule of Dembo, Eisenstat
+and Steihaug, SIAM J. Numer. Anal. 1982). A rung's first solve starts
+from omega = 0 at inner_tol; each later one starts from the previous
+solve's raw omega and stops at max(inner_tol, min(1e-4, 0.01 x the last
+outer update)). Whatever the rung's stop, a last solve looser than
+inner_tol is continued from where it ended to inner_tol, so every
+rung's solution meets inner_tol.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .verify import residual
 
 _STALL_STREAK = 4
 _MIN_DAMPING = 0.125
+_FORCING_CAP = 1e-4  # loosest inner tolerance of a warm solve
+_FORCING_RATIO = 0.01  # warm inner tolerance per unit of the last outer update
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,13 @@ class LadderReport:
     quasi_residual: float = float("nan")
     degenerate_samples: int = 0
 
-    def add_rung(self, rung, outer_steps, linear_residual, distances, stop):
+    def add_rung(self, rung, outer_steps, picard_steps, linear_residual, distances, stop):
         self.rungs.append(
             {
                 "rung": rung,
                 "outer_steps": outer_steps,
+                "picard_steps": sum(picard_steps),
+                "picard_steps_max": max(picard_steps),
                 "residual": linear_residual,
                 "d": list(distances),
                 "stop": stop,
@@ -155,6 +167,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         stall_streak = 0
         best_update = np.inf
         outer_steps = 0
+        picard_steps = []
         prev_mu = prev_nu = None
         for _ in range(cfg.max_outer):
             mu, nu = frozen_coefficient_fields(spec, f_current, rung, q=cfg.q_majorant)
@@ -166,9 +179,17 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             prev_mu, prev_nu = mu, nu
             outer_steps += 1
             prob = LinearProblem(mu=mu, nu=nu, k_bound=k_bound)
+            # the first solve of a rung is cold at inner_tol; later ones start
+            # from the last raw omega and need only beat the last outer update
+            # (the forcing term of an inexact fixed-point iteration)
+            warm = outer_steps > 1
+            solve_tol = (max(cfg.inner_tol, min(_FORCING_CAP, _FORCING_RATIO * update))
+                         if warm else cfg.inner_tol)
             solution = solve_linear(
-                prob, cfg, support_radius=spec.support_radius, label=spec.label
+                prob, cfg, support_radius=spec.support_radius, label=spec.label,
+                omega0=solution.omega if warm else None, tol=solve_tol,
             )
+            picard_steps.append(solution.trace.steps)
             update = compact_sup_distance(solution.f, f_current, largest_margin)
             # truncation-boundary cells can flip between steps and lock the
             # iteration into a cycle; damp when no real progress is made
@@ -193,13 +214,26 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
                 break
         else:
             stop = "max_outer"
+        if solve_tol > cfg.inner_tol:
+            # whatever the stop, the rung's solution meets inner_tol: continue
+            # the last solve from where it ended
+            last = solution
+            solution = solve_linear(
+                prob, cfg, support_radius=spec.support_radius, label=spec.label,
+                omega0=last.omega,
+            )
+            picard_steps.append(solution.trace.steps)
+            if f_current is last.f:  # the iterate was that solve, undamped
+                f_current = solution.f
         solution.rung = rung
+        solution.omega = None  # the next rung starts cold; hold no extra grid past the rung
         distances = (
             [compact_sup_distance(f_current, prev_rung_f, m) for m in cfg.compact_margins]
             if prev_rung_f is not None
             else [float("nan")] * len(cfg.compact_margins)
         )
-        report.add_rung(rung, outer_steps, solution.residual_l2_rel, distances, stop)
+        report.add_rung(rung, outer_steps, picard_steps, solution.residual_l2_rel, distances,
+                        stop)
         report.final_rung = rung
         prev_rung_f = f_current
         if not np.isnan(distances[0]) and max(distances) < cfg.ladder_tol:

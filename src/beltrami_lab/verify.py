@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -50,11 +51,13 @@ def residual(solution: Solution, spec: CoefficientSpec):
 # ---------------------------------------------------------------------------
 # jacobian statistics
 
-def jacobian_stats(solution: Solution):
-    """min J and the fraction of samples with J <= 0 over the support."""
-    Z = solution.f.z
-    support = np.abs(Z) <= solution.support_radius
-    J = jacobian(solution.fz.data, solution.fzbar.data)[support]
+def jacobian_stats(solution: Solution, ppm=None):
+    """min J and the fraction of samples with J <= 0 over the support; the
+    heatmap of J over the whole grid goes to the path `ppm` when given."""
+    J = jacobian(solution.fz.data, solution.fzbar.data)
+    if ppm is not None:
+        write_ppm(J, ppm)
+    J = J[np.abs(solution.f.z) <= solution.support_radius]
     return {
         "min": float(J.min()),
         "fraction_nonpositive": float((J <= 0.0).mean()),
@@ -283,14 +286,21 @@ class VerificationReport:
 
 
 def verification_report(solution: Solution, spec: CoefficientSpec, q_l1_norm: float = None,
-                        with_inverse: bool = True) -> VerificationReport:
-    """Full verification battery: inverse audit at p = 2, continuity fit at margin 0.5."""
-    _, norms = residual(solution, spec)
+                        with_inverse: bool = True, heatmaps=None) -> VerificationReport:
+    """Full verification battery: inverse audit at p = 2, continuity fit at margin 0.5.
+
+    With a directory `heatmaps`, |residual| and J are also written there as
+    residual.ppm and jacobian.ppm, from the same grids the report reads.
+    """
+    res_field, norms = residual(solution, spec)
+    if heatmaps is not None:
+        write_ppm(np.abs(res_field.data), Path(heatmaps) / "residual.ppm")
     report = VerificationReport(
         residual_l2_rel=norms["l2_rel"],
         residual_sup=norms["sup"],
         degenerate_samples=norms["degenerate_samples"],
-        jacobian=jacobian_stats(solution),
+        jacobian=jacobian_stats(
+            solution, None if heatmaps is None else Path(heatmaps) / "jacobian.ppm"),
         injectivity=injectivity_check(solution),
     )
     if with_inverse and report.injectivity["passed"]:

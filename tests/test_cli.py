@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from beltrami_lab import verify
 from beltrami_lab.cli import main
+from beltrami_lab.coefficients import builtin_catalog
 from beltrami_lab.linear_solver import load_solution
 
 
@@ -157,6 +159,31 @@ def archive(tmp_path_factory):
     assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
                 "--out", str(out)]) == 0
     return out
+
+
+def test_heatmaps_come_from_the_report_grids(archive, tmp_path, monkeypatch):
+    counts = {"residual": 0, "jacobian": 0}
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, call)
+        return fn
+
+    residual, jacobian = counted("residual"), counted("jacobian")
+    out = tmp_path / "verify"
+    assert run(["verify", "--archive", str(archive), "--out", str(out), "--heatmaps"]) == 0
+    assert counts == {"residual": 1, "jacobian": 1}
+    # the heatmaps as written when they were computed apart from the report
+    sol = load_solution(archive)
+    res_field, _ = residual(sol, builtin_catalog("constant-disk", [0.5]))
+    verify.write_ppm(np.abs(res_field.data), tmp_path / "residual.ppm")
+    verify.write_ppm(jacobian(sol.fz.data, sol.fzbar.data), tmp_path / "jacobian.ppm")
+    for name in ("residual.ppm", "jacobian.ppm"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_usage_error_exits_1(capsys):

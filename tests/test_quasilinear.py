@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from beltrami_lab import linear_solver, quasilinear
 from beltrami_lab.coefficients import (
     CoefficientSpec,
     builtin_catalog,
     parse_coefficient_expr,
+    rung_bound,
 )
 from beltrami_lab.conditions import parse_majorant
 from beltrami_lab.errors import EllipticityViolation, EmptyCompact, NotContractive
@@ -188,12 +190,12 @@ def test_capped_rungs_are_not_converged():
 
 
 def test_stop_records_cap_and_stall():
-    # outer_tol below round-off: rung 2 runs out of steps, rung 4 stalls at
+    # outer_tol below round-off: rung 4 runs out of steps, rung 8 stalls at
     # the smallest damping; the residual alone would pass
-    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4), outer_tol=1e-16)
-    _, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.5]), cfg)
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(4, 8), outer_tol=1e-16)
+    _, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.6]), cfg)
     assert [(row["outer_steps"], row["stop"]) for row in report.rungs] == [
-        (40, "max_outer"), (35, "stalled")]
+        (40, "max_outer"), (39, "stalled")]
     assert report.quasi_residual <= cfg.residual_tol
     assert not report.ladder_converged
 
@@ -205,3 +207,84 @@ def test_rising_updates_end_the_rung_stalled():
     _, report = solve_quasilinear(spec, SolverConfig(grid_n=32, box=L, ladder=(4, 8)))
     assert [row["stop"] for row in report.rungs] == ["stalled", "stalled"]
     assert not report.ladder_converged
+
+
+# ---------------------------------------------------------------------------
+# warm-started, inexact inner solves
+
+def spy_solves(monkeypatch):
+    """Record every solve_linear call of the ladder:
+    (problem, start, tol, solution, L2 norm of its raw omega)."""
+    calls = []
+
+    def spy(prob, cfg, *args, omega0=None, tol=None, **kwargs):
+        sol = solve_linear(prob, cfg, *args, omega0=omega0, tol=tol, **kwargs)
+        omega_norm = np.linalg.norm(sol.omega) * sol.f.h
+        calls.append((prob, omega0, cfg.inner_tol if tol is None else tol, sol, omega_norm))
+        return sol
+
+    monkeypatch.setattr(quasilinear, "solve_linear", spy)
+    return calls
+
+
+def solves_by_rung(calls, report):
+    """The recorded solves of each rung, in ladder order (rungs differ in k_bound)."""
+    return [[c for c in calls if c[0].k_bound == rung_bound(row["rung"])]
+            for row in report.rungs]
+
+
+@pytest.mark.parametrize("stop, spec, cfg", [
+    ("tol", builtin_catalog("w-damped-disk", [0.5]),
+     SolverConfig(grid_n=64, box=L, ladder=(2, 4))),
+    ("stalled", CoefficientSpec(mu_expr=parse_coefficient_expr("0.6*exp(i*16*re(w))")),
+     SolverConfig(grid_n=32, box=L, ladder=(4, 8))),
+    ("max_outer", builtin_catalog("paper-example-sec4"),
+     SolverConfig(grid_n=64, box=L, ladder=(2, 4), max_outer=2)),
+], ids=["tol", "stalled", "max_outer"])
+def test_rung_solves_start_cold_and_end_at_inner_tol(stop, spec, cfg, monkeypatch):
+    # each case has rungs that end at `stop` after a warm solve looser than
+    # inner_tol, so the rung's solution needs the continuation
+    calls = spy_solves(monkeypatch)
+    _, report = solve_quasilinear(spec, cfg)
+    assert any(row["stop"] == stop for row in report.rungs)
+    for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
+        if row["stop"] != stop:
+            continue
+        _, start, tol, _, _ = solves[0]
+        assert start is None and tol == cfg.inner_tol
+        # a warm solve ran looser than inner_tol, so the rung needed its continuation
+        assert any(c[2] > cfg.inner_tol for c in solves)
+        _, _, tol, sol, omega_norm = solves[-1]
+        assert tol == cfg.inner_tol
+        assert sol.trace.update_norms[-1] < cfg.inner_tol * max(1.0, omega_norm)
+        assert len(solves) == row["outer_steps"] + 1
+
+
+def test_warm_solves_halve_the_picard_work(monkeypatch):
+    # against the cold inner_tol solve of every outer step's problem
+    calls = spy_solves(monkeypatch)
+    cfg = SolverConfig(grid_n=64, box=L)
+    sol, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.5]), cfg)
+    assert sol.omega is None  # the warm-start grid does not outlive its rung
+    warm = sum(row["picard_steps"] for row in report.rungs)
+    problems = list({id(c[0]): c[0] for c in calls}.values())
+    cold = sum(solve_linear(prob, cfg).trace.steps for prob in problems)
+    assert warm == sum(c[3].trace.steps for c in calls)
+    assert warm <= 0.5 * cold
+
+
+def test_ladder_picard_counts_match_picard_steps(monkeypatch):
+    per_bound = {}
+    step = linear_solver.picard_step
+
+    def counted(omega, prob):
+        per_bound[prob.k_bound] = per_bound.get(prob.k_bound, 0) + 1
+        return step(omega, prob)
+
+    monkeypatch.setattr(linear_solver, "picard_step", counted)
+    calls = spy_solves(monkeypatch)
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4, 8))
+    _, report = solve_quasilinear(builtin_catalog("paper-example-sec4"), cfg)
+    assert per_bound == {rung_bound(row["rung"]): row["picard_steps"] for row in report.rungs}
+    for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
+        assert row["picard_steps_max"] == max(c[3].trace.steps for c in solves)
