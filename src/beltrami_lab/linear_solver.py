@@ -97,7 +97,6 @@ class Solution:
     residual_l2_rel: float
     support_radius: float
     label: str = ""
-    omega: np.ndarray = None  # raw fixed point before normalization; not archived
 
 
 def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
@@ -123,7 +122,11 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
                  tol=None) -> Solution:
     """Iterate picard_step from omega0 (default omega = 0) until the relative
     L2 update drops below tol (default cfg.inner_tol), then assemble and
-    normalise the principal solution."""
+    normalise the principal solution.
+
+    The raw omega is solution.fzbar.data / solution.normalization.scale.
+    A solve at inner_tol or tighter raises MaxIterations when its residual
+    exceeds cfg.residual_tol; a looser solve is not checked."""
     if prob.k_bound >= 1.0:
         raise NotContractive(f"k_bound = {prob.k_bound:.6g} >= 1")
     L, n = prob.mu.L, prob.mu.n
@@ -150,7 +153,7 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
     f, fz, fzbar, norm = normalize_solution(f, fz, fzbar, L, n)
     res_field = fzbar - prob.mu.data * fz - prob.nu.data * np.conj(fz)
     residual = float(np.linalg.norm(res_field) / np.linalg.norm(fz))
-    if residual > cfg.residual_tol:
+    if tol <= cfg.inner_tol and residual > cfg.residual_tol:
         raise MaxIterations(
             f"converged iteration left residual {residual:.3g} > {cfg.residual_tol:.3g}"
         )
@@ -164,7 +167,6 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
         residual_l2_rel=residual,
         support_radius=L / 2 if support_radius is None else support_radius,
         label=label,
-        omega=omega.data,
     )
 
 

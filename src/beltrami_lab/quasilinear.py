@@ -114,6 +114,11 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
     return float(np.abs(f.data - g.data)[mask].max())
 
 
+def raw_omega(solution) -> np.ndarray:
+    """The solve's fixed point omega before normalization scaled f_zbar."""
+    return solution.fzbar.data / solution.normalization.scale
+
+
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
     """Sample the coefficients at (z, f(z)) onto grids, truncated at the rung.
 
@@ -187,7 +192,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
                          if warm else cfg.inner_tol)
             solution = solve_linear(
                 prob, cfg, support_radius=spec.support_radius, label=spec.label,
-                omega0=solution.omega if warm else None, tol=solve_tol,
+                omega0=raw_omega(solution) if warm else None, tol=solve_tol,
             )
             picard_steps.append(solution.trace.steps)
             update = compact_sup_distance(solution.f, f_current, largest_margin)
@@ -220,13 +225,12 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             last = solution
             solution = solve_linear(
                 prob, cfg, support_radius=spec.support_radius, label=spec.label,
-                omega0=last.omega,
+                omega0=raw_omega(last),
             )
             picard_steps.append(solution.trace.steps)
             if f_current is last.f:  # the iterate was that solve, undamped
                 f_current = solution.f
         solution.rung = rung
-        solution.omega = None  # the next rung starts cold; hold no extra grid past the rung
         distances = (
             [compact_sup_distance(f_current, prev_rung_f, m) for m in cfg.compact_margins]
             if prev_rung_f is not None
