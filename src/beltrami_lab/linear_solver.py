@@ -118,13 +118,17 @@ def normalize_solution(f, fz, fzbar, L, n):
     return scale * f_shift, scale * fz, scale * fzbar, norm
 
 
+def raw_omega(sol: Solution) -> np.ndarray:
+    """The solve's fixed point omega = f_zbar before normalization scaled it."""
+    return sol.fzbar.data / sol.normalization.scale
+
+
 def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0=None,
                  tol=None) -> Solution:
     """Iterate picard_step from omega0 (default omega = 0) until the relative
     L2 update drops below tol (default cfg.inner_tol), then assemble and
     normalise the principal solution.
 
-    The raw omega is solution.fzbar.data / solution.normalization.scale.
     A solve at inner_tol or tighter raises MaxIterations when its residual
     exceeds cfg.residual_tol; a looser solve is not checked."""
     if prob.k_bound >= 1.0:

@@ -30,7 +30,7 @@ from .coefficients import CoefficientSpec, coefficient_fields, rung_bound, trunc
 from .dilatation import elliptic_mask
 from .errors import EmptyCompact, NotContractive
 from .grid import GridField, coordinates
-from .linear_solver import LinearProblem, solve_linear
+from .linear_solver import LinearProblem, raw_omega, solve_linear
 from .verify import residual
 
 _STALL_STREAK = 4
@@ -112,11 +112,6 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
         raise ValueError("fields must share box and resolution")
     mask = compact_mask(f.L, f.n, margin)
     return float(np.abs(f.data - g.data)[mask].max())
-
-
-def raw_omega(solution) -> np.ndarray:
-    """The solve's fixed point omega before normalization scaled f_zbar."""
-    return solution.fzbar.data / solution.normalization.scale
 
 
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):

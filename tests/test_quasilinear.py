@@ -224,7 +224,7 @@ def spy_solves(monkeypatch):
 
     def spy(prob, cfg, *args, omega0=None, tol=None, **kwargs):
         sol = solve_linear(prob, cfg, *args, omega0=omega0, tol=tol, **kwargs)
-        omega_norm = np.linalg.norm(quasilinear.raw_omega(sol)) * sol.f.h
+        omega_norm = np.linalg.norm(linear_solver.raw_omega(sol)) * sol.f.h
         calls.append((prob, omega0, cfg.inner_tol if tol is None else tol, sol, omega_norm))
         return sol
 
