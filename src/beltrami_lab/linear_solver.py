@@ -28,17 +28,21 @@ import numpy as np
 
 from . import grid
 from .errors import DegenerateNormalization, MaxIterations, NotContractive
-from .grid import GridField
+from .grid import GridField, l2_norm
 from .transforms import _check_support, beurling_transform, cauchy_transform
 
 
 @dataclass(frozen=True)
 class LinearProblem:
-    """Coefficient grids with a certified ellipticity bound |mu|+|nu| <= k_bound."""
+    """Coefficient grids with a certified ellipticity bound |mu|+|nu| <= k_bound.
+
+    `band` is the row range (j0, j1) outside which mu and nu are exactly zero.
+    """
 
     mu: GridField
     nu: GridField
     k_bound: float
+    band: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.mu.same_geometry(self.nu):
@@ -50,7 +54,7 @@ class LinearProblem:
                 f"coefficients exceed the declared bound: max |mu|+|nu| = {smax:.6g} "
                 f"> k_bound = {self.k_bound:.6g}"
             )
-        _check_support(s, self.mu.L)
+        object.__setattr__(self, "band", _check_support(s, self.mu.L))
 
 
 @dataclass
@@ -100,10 +104,17 @@ class Solution:
 
 
 def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
-    """One application of omega -> mu (1 + S omega) + nu conj(1 + S omega)."""
+    """One application of omega -> mu (1 + S omega) + nu conj(1 + S omega).
+
+    The products are formed on the coefficients' row band only; the
+    other rows are exact zeros, as mu = nu = 0 there.
+    """
     s = beurling_transform(omega)
-    dfz = 1.0 + s.data
-    return GridField(omega.L, prob.mu.data * dfz + prob.nu.data * np.conj(dfz))
+    j0, j1 = prob.band
+    out = np.zeros_like(s.data)
+    dfz = 1.0 + s.data[j0:j1]
+    out[j0:j1] = prob.mu.data[j0:j1] * dfz + prob.nu.data[j0:j1] * np.conj(dfz)
+    return GridField(omega.L, out)
 
 
 def normalize_solution(f, fz, fzbar, L, n):
@@ -141,7 +152,7 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
     trace = IterationTrace()
     for _ in range(cfg.max_inner):
         omega_next = picard_step(omega, prob)
-        update = float(np.linalg.norm(omega_next.data - omega.data) * omega.h)
+        update = l2_norm(omega_next.data - omega.data) * omega.h
         trace.record(update)
         omega = omega_next
         if update < tol * max(1.0, omega.norm_l2()):
@@ -156,7 +167,7 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
     fzbar = omega.data
     f, fz, fzbar, norm = normalize_solution(f, fz, fzbar, L, n)
     res_field = fzbar - prob.mu.data * fz - prob.nu.data * np.conj(fz)
-    residual = float(np.linalg.norm(res_field) / np.linalg.norm(fz))
+    residual = l2_norm(res_field) / l2_norm(fz)
     if tol <= cfg.inner_tol and residual > cfg.residual_tol:
         raise MaxIterations(
             f"converged iteration left residual {residual:.3g} > {cfg.residual_tol:.3g}"

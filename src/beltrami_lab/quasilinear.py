@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,14 +115,29 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
     return float(np.abs(f.data - g.data)[mask].max())
 
 
+@lru_cache(maxsize=16)
+def _support_index(L: float, n: int, radius: float) -> np.ndarray:
+    """Flat indices of the (L, n) samples with |z| <= radius."""
+    index = np.flatnonzero(np.abs(coordinates(L, n)) <= radius)
+    index.flags.writeable = False
+    return index
+
+
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
     """Sample the coefficients at (z, f(z)) onto grids, truncated at the rung.
 
     Truncation is by the majorant q when given, else by K. The returned
-    grids satisfy |mu| + |nu| <= rung_bound(rung).
+    grids satisfy |mu| + |nu| <= rung_bound(rung). The expressions are
+    evaluated only at samples with |z| <= spec.support_radius; the
+    coefficients vanish at the others.
     """
     Z = f.z
-    mu, nu = truncate(*coefficient_fields(spec, Z, f.data, strict=False), rung, q, Z)
+    inside = _support_index(f.L, f.n, spec.support_radius)
+    mu = np.zeros(Z.shape, dtype=complex)
+    nu = np.zeros(Z.shape, dtype=complex)
+    mu.flat[inside], nu.flat[inside] = coefficient_fields(
+        spec, Z.flat[inside], f.data.flat[inside], strict=False)
+    mu, nu = truncate(mu, nu, rung, q, Z)
     return GridField(f.L, mu), GridField(f.L, nu)
 
 

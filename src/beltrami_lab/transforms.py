@@ -15,11 +15,22 @@ transforms are known in closed form,
     T g = sigma^2 (1 - exp(-|z|^2/sigma^2)) / z,      sigma = L/4,
     S g = d(T g),
 
-and the multiplier is applied to the mean-free remainder. On mean-zero
-input the slug vanishes and S is exactly the unimodular multiplier, an
-L2 isometry to round-off. Sign and normalization are pinned by the two
+and the multiplier acts on the mean-free remainder omega - c g, where
+c g has the mass of omega. By linearity that is
+
+    T omega = P_T(omega) + c R_T,      R_T = T g - P_T(g),
+
+with P_T the periodic multiplier; the correction grids R_T and R_S are
+computed once per (L, n), so no remainder is built per call. On
+mean-zero input c = 0 and S is exactly the unimodular multiplier, an L2
+isometry to round-off. Sign and normalization are pinned by the two
 oracles dbar T = id and T chi_D = conj(z) inside the unit disk, 1/z
 outside (verified against direct quadrature of the Cauchy integral).
+
+The FFTs are scipy.fft's. Every transform call checks the support of
+its input, and the forward FFT's first pass (along rows) runs only over
+the band of rows that hold a nonzero sample; the remaining rows are
+zero and transform to zero.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 from .errors import SupportTooLarge
 from .grid import DerivativePair, GridField, coordinates
@@ -37,7 +49,7 @@ SUPPORT_EPS = 1e-13
 @lru_cache(maxsize=16)
 def _kernels(L: float, n: int):
     h = 2.0 * L / n
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    xi = 2.0 * np.pi * fft.fftfreq(n, d=h)
     XI1, XI2 = np.meshgrid(xi, xi)
     zeta = XI1 + 1j * XI2
     nz = zeta != 0
@@ -54,7 +66,11 @@ def _kernels(L: float, n: int):
 
 @lru_cache(maxsize=16)
 def _slug(L: float, n: int):
-    """Gaussian mass carrier and its closed-form transforms."""
+    """Per-mass slug corrections (R_T, R_S) and the mass-to-c factor 1/(pi sigma^2).
+
+    R = X g - P_X(g) for X = T, S: the closed-form transform of the
+    Gaussian carrier g minus what the periodic multiplier makes of it.
+    """
     Z = coordinates(L, n)
     sigma = L / 4.0
     r2 = np.abs(Z) ** 2
@@ -67,42 +83,53 @@ def _slug(L: float, n: int):
         0.0,
         (np.conj(Z) * (1.0 - one_minus_e) * Zs - sigma**2 * one_minus_e) / Zs**2,
     )
-    for m in (g, Tg, Sg):
+    g_hat = fft.fft2(g)
+    mult_T, mult_S = _kernels(L, n)[:2]
+    R_T = Tg - fft.ifft2(mult_T * g_hat)
+    R_S = Sg - fft.ifft2(mult_S * g_hat)
+    for m in (R_T, R_S):
         m.flags.writeable = False
-    return g, Tg, Sg, sigma
+    return R_T, R_S, 1.0 / (np.pi * sigma**2)
 
 
 def _check_support(data: np.ndarray, L: float):
-    """Support extent of the samples on [-L, L]^2 must not exceed half the box side."""
+    """Support extent of the samples on [-L, L]^2 must not exceed half the box side.
+
+    The extent counts rows and columns holding a sample above
+    SUPPORT_EPS times the peak. Returns the band (j0, j1) of rows
+    data[j0:j1] outside which every sample is exactly zero.
+    """
     mag = np.abs(data)
-    peak = mag.max()
+    rows = mag.max(axis=1)
+    peak = rows.max()
     if peak == 0.0:
-        return
-    jj, kk = np.nonzero(mag > SUPPORT_EPS * peak)
+        return 0, 0
+    thresh = SUPPORT_EPS * peak
+    jj = np.flatnonzero(rows > thresh)
+    kk = np.flatnonzero(mag.max(axis=0) > thresh)
     h = 2.0 * L / data.shape[0]
-    extent = h * max(kk.max() - kk.min(), jj.max() - jj.min())
+    extent = h * max(kk[-1] - kk[0], jj[-1] - jj[0])
     if extent > L + h / 2:
         raise SupportTooLarge(
             f"support extent {extent:.3g} exceeds half the box side {L:.3g}; enlarge the box"
         )
-
-
-def _mass_coefficient(field: GridField, sigma: float) -> complex:
-    return complex(field.data.sum() * field.h**2 / (np.pi * sigma**2))
+    band = np.flatnonzero(rows)
+    return int(band[0]), int(band[-1]) + 1
 
 
 def _slug_carried(omega: GridField, which: int) -> np.ndarray:
-    """T omega (which=0) or S omega (which=1) as samples.
-
-    The multiplier acts on the mean-free remainder omega - c g; the
-    slug's mass c g is carried through its closed-form transform.
-    """
-    _check_support(omega.data, omega.L)
-    mult = _kernels(omega.L, omega.n)[which]
-    g, Tg, Sg, sigma = _slug(omega.L, omega.n)
-    c = _mass_coefficient(omega, sigma)
-    u = np.fft.ifft2(mult * np.fft.fft2(omega.data - c * g))
-    return u + c * (Tg, Sg)[which]
+    """T omega (which=0) or S omega (which=1) as samples: P(omega) + c R."""
+    j0, j1 = _check_support(omega.data, omega.L)
+    n = omega.n
+    spec = np.zeros((n, n), dtype=complex)
+    spec[j0:j1] = fft.fft(omega.data[j0:j1], axis=1)
+    spec = fft.fft(spec, axis=0, overwrite_x=True)
+    R_T, R_S, per_mass = _slug(omega.L, n)
+    c = spec[0, 0] * omega.h**2 * per_mass  # the zero frequency is the mass
+    spec *= _kernels(omega.L, n)[which]
+    u = fft.ifft2(spec, overwrite_x=True)
+    u += c * (R_T, R_S)[which]
+    return u
 
 
 def cauchy_transform(omega: GridField) -> GridField:
@@ -125,9 +152,9 @@ def derivatives(f: GridField, method: str = "spectral") -> DerivativePair:
     """
     if method == "spectral":
         _, _, mult_d, mult_dbar = _kernels(f.L, f.n)
-        fh = np.fft.fft2(f.data)
-        fz = np.fft.ifft2(mult_d * fh)
-        fzbar = np.fft.ifft2(mult_dbar * fh)
+        fh = fft.fft2(f.data)
+        fz = fft.ifft2(mult_d * fh)
+        fzbar = fft.ifft2(mult_dbar * fh)
     elif method == "fd":
         fy, fx = np.gradient(f.data, f.h, edge_order=2)
         fz = 0.5 * (fx - 1j * fy)

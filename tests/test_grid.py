@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from beltrami_lab.grid import DerivativePair, GridField, coordinates, from_function, load, zeros
+from beltrami_lab.grid import (
+    DerivativePair,
+    GridField,
+    coordinates,
+    from_function,
+    l2_norm,
+    load,
+    zeros,
+)
 
 
 def test_coordinates_layout():
@@ -66,3 +74,14 @@ def test_bilinear_interp_exact_on_bilinear_data():
 def test_derivative_pair_geometry_check():
     with pytest.raises(ValueError):
         DerivativePair(zeros(1.0, 16), zeros(2.0, 16))
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_l2_norm_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    ref = np.linalg.norm(data)
+    assert abs(l2_norm(data) - ref) <= 1e-12 * ref
+    assert l2_norm(np.zeros((n, n), dtype=complex)) == 0.0
+    field = GridField(2.0, data)
+    assert field.norm_l2() == pytest.approx(ref * field.h, rel=1e-12)

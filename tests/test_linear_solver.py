@@ -12,7 +12,7 @@ from beltrami_lab.linear_solver import (
     solve_linear,
 )
 from beltrami_lab.quasilinear import SolverConfig
-from beltrami_lab.transforms import cauchy_transform
+from beltrami_lab.transforms import beurling_transform, cauchy_transform
 
 L, N = 2.0, 256
 CFG = SolverConfig(grid_n=N, box=L)
@@ -49,6 +49,31 @@ def test_picard_first_step_is_mu():
     prob = constant_disk_problem(0.5, n=64)
     out = picard_step(zeros(L, 64), prob)
     np.testing.assert_allclose(out.data, prob.mu.data, atol=1e-14)
+
+
+def test_picard_step_matches_full_grid_formula():
+    # an off-centre support, so the band is not the middle rows
+    chi = (np.abs(coordinates(L, 64) - (0.5 + 0.3j)) < 0.45).astype(complex)
+    prob = LinearProblem(mu=GridField(L, 0.4 * chi), nu=GridField(L, 0.3j * chi), k_bound=0.7)
+    j0, j1 = prob.band
+    assert np.any(chi[j0]) and np.any(chi[j1 - 1])
+    assert not np.any(chi[:j0]) and not np.any(chi[j1:])
+    rng = np.random.default_rng(3)
+    omega = GridField(L, (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * chi)
+    dfz = 1.0 + beurling_transform(omega).data
+    full = prob.mu.data * dfz + prob.nu.data * np.conj(dfz)
+    out = picard_step(omega, prob).data
+    assert np.array_equal(out, full)
+    assert np.all(out[:j0] == 0) and np.all(out[j1:] == 0)
+
+
+def test_solve_linear_takes_no_numpy_norm(monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called during solve_linear")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    sol = solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L))
+    assert sol.trace.converged
 
 
 def undo_normalization(sol):

@@ -5,10 +5,13 @@ import pytest
 
 from beltrami_lab import linear_solver, quasilinear
 from beltrami_lab.coefficients import (
+    CATALOG,
     CoefficientSpec,
     builtin_catalog,
+    coefficient_fields,
     parse_coefficient_expr,
     rung_bound,
+    truncate,
 )
 from beltrami_lab.conditions import parse_majorant
 from beltrami_lab.errors import (
@@ -92,6 +95,22 @@ def test_frozen_fields_respect_rung_bound(rung):
     mu, nu = frozen_coefficient_fields(spec, ident, rung=rung)
     s = np.abs(mu.data) + np.abs(nu.data)
     assert s.max() <= (rung - 1) / (rung + 1) + 1e-12
+
+
+CATALOG_PARAMS = {"constant-disk": [0.5], "radial-power": [0.9, 1.0], "w-damped-disk": [0.9]}
+
+
+@pytest.mark.parametrize("entry", sorted(CATALOG))
+def test_frozen_fields_equal_full_grid_sampling(entry):
+    # sampling inside the support only must not change a bit of the grids
+    spec = builtin_catalog(entry, CATALOG_PARAMS.get(entry, []))
+    f = from_function(L, 64, lambda z: z + 0.3 * np.conj(z) * np.exp(-np.abs(z) ** 2))
+    Z = coordinates(L, 64)
+    for rung in (2, 8):
+        ref = truncate(*coefficient_fields(spec, Z, f.data, strict=False), rung, None, Z)
+        got = frozen_coefficient_fields(spec, f, rung)
+        for a, b in zip(got, ref):
+            assert a.data.tobytes() == b.tobytes()
 
 
 def test_w_independent_spec_reduces_to_linear():
@@ -195,12 +214,14 @@ def test_capped_rungs_are_not_converged():
 
 
 def test_stop_records_cap_and_stall():
-    # outer_tol below round-off: rung 2 runs out of steps, rung 4 stalls at
-    # the smallest damping; the residual alone would pass
+    # outer_tol below round-off: rung 2 stalls at the smallest damping,
+    # rung 4 runs out of steps; the residual alone would pass. The exact
+    # counts follow round-off, so a change to the solve's arithmetic may
+    # move them: keep one rung of each stop kind.
     cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4), outer_tol=1e-16)
-    _, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.5]), cfg)
+    _, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.55]), cfg)
     assert [(row["outer_steps"], row["stop"]) for row in report.rungs] == [
-        (40, "max_outer"), (39, "stalled")]
+        (23, "stalled"), (40, "max_outer")]
     assert report.quasi_residual <= cfg.residual_tol
     assert not report.ladder_converged
 

@@ -16,7 +16,12 @@ import pytest
 
 from beltrami_lab.errors import SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
-from beltrami_lab.transforms import beurling_transform, cauchy_transform, derivatives
+from beltrami_lab.transforms import (
+    _check_support,
+    beurling_transform,
+    cauchy_transform,
+    derivatives,
+)
 
 L = 2.0
 
@@ -125,6 +130,74 @@ def test_chi_errors_decrease_under_refinement():
         errsS.append(np.abs(S - closed_S(Z128))[probe_mask].max())
     assert errsT[0] > errsT[1] > errsT[2]
     assert errsS[0] > errsS[1] > errsS[2]
+
+
+# ---------------------------------------------------------------------------
+# the transforms against the textbook slug formula
+
+
+def reference_transforms(omega):
+    """(T omega, S omega) by ifft2(m fft2(omega - c g)) + c X g on the full
+    grid: the Gaussian slug g with sigma = L/4 carries the mass c g."""
+    n, h = omega.n, omega.h
+    xi = 2 * np.pi * np.fft.fftfreq(n, d=h)
+    zeta = xi[None, :] + 1j * xi[:, None]
+    zs = np.where(zeta == 0, 1, zeta)
+    mult_T = np.where(zeta == 0, 0, -2j / zs)
+    mult_S = np.where(zeta == 0, 0, np.conj(zeta) / zs)
+    Z = coordinates(omega.L, n)
+    sigma2 = (omega.L / 4) ** 2
+    r2 = np.abs(Z) ** 2
+    g = np.exp(-r2 / sigma2)
+    Zs = np.where(Z == 0, 1, Z)
+    Tg = np.where(Z == 0, 0, sigma2 * (1 - g) / Zs)
+    Sg = np.where(Z == 0, 0, (np.conj(Z) * g * Zs - sigma2 * (1 - g)) / Zs**2)
+    c = omega.data.sum() * h**2 / (np.pi * sigma2)
+    rem = np.fft.fft2(omega.data - c * g)
+    return (np.fft.ifft2(mult_T * rem) + c * Tg, np.fft.ifft2(mult_S * rem) + c * Sg)
+
+
+def random_supported_field(n, inside, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return GridField(L, data * inside(coordinates(L, n)))
+
+
+def last_allowed_band(z):
+    """The widest row band the support rule accepts, ending at the last grid row."""
+    n = z.shape[0]
+    rows = np.zeros((n, 1), dtype=bool)
+    rows[n // 2 - 1:] = True
+    cols = np.zeros((1, n), dtype=bool)
+    cols[:, n // 4:3 * n // 4] = True
+    return rows & cols
+
+
+SUPPORTS = {
+    "disk at 0": lambda z: np.abs(z) < 0.9,
+    "disk at 0.5+0.3i": lambda z: np.abs(z - (0.5 + 0.3j)) < 0.45,
+    "disk at -0.7": lambda z: np.abs(z + 0.7) < 0.45,
+    "band to the last row": last_allowed_band,
+}
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("support", SUPPORTS)
+def test_transforms_match_full_grid_slug_formula(support, n):
+    omega = random_supported_field(n, SUPPORTS[support], seed=n)
+    for op, ref in zip((cauchy_transform, beurling_transform), reference_transforms(omega)):
+        assert np.abs(op(omega).data - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_support_band_keeps_faint_rows():
+    # a sample below the extent threshold passes the support rule but is
+    # still transformed: the band covers every row with a nonzero sample
+    data = (np.abs(coordinates(L, 64)) < 0.9).astype(complex)
+    j0, j1 = _check_support(data, L)
+    assert np.any(data[j0]) and np.any(data[j1 - 1]) and j1 - j0 < 64
+    data[1, 5] = 1e-20
+    assert _check_support(data, L) == (1, j1)
+    assert _check_support(np.zeros((64, 64)), L) == (0, 0)
 
 
 def smooth_mean_zero_bump(n):
