@@ -40,6 +40,31 @@ def _resolve_spec(name_or_path):
     raise ConfigError(f"spec {name_or_path!r} is neither a catalog entry nor a file")
 
 
+def _config_flags(parser, command, path):
+    """The `key = value` lines of a config file as flags of `command`.
+
+    Each key is read as the subcommand's parser reads its flag: a switch
+    takes `true` (flag given) or `false` (flag left out), an option with
+    several values gets one token per whitespace-separated item, and any
+    other key, known or not, becomes one `--key=value` token.
+    """
+    sub = parser.commands.get(command)
+    tokens = []
+    for key, value in coefficients.read_key_values(path).items():
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag) if sub else None
+        if action is not None and action.nargs == 0:
+            if value not in ("true", "false"):
+                raise ConfigError(f"{path}: {key} = {value}: a switch takes true or false")
+            if value == "true":
+                tokens.append(flag)
+        elif action is not None and action.nargs == "+":
+            tokens += [flag, *value.split()]
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
 def _solver_config(args, **defaults):
     """SolverConfig from the solver flags given (their dests are its field names)."""
     given = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
@@ -249,6 +274,7 @@ def build_parser():
         description="Numerical laboratory for two-characteristic Beltrami equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser, for _config_flags
 
     def add_common(p):
         p.add_argument("--config", help="key = value file of long flags; flags override it")
@@ -310,11 +336,10 @@ def main(argv=None):
         pre = _Parser(prog="beltrami-lab", add_help=False)
         pre.add_argument("--config")
         config = pre.parse_known_args(argv)[0].config
+        parser = build_parser()
         if config:
-            file_flags = [f"--{key.replace('_', '-')}={val}"
-                          for key, val in coefficients.read_key_values(config).items()]
-            argv = argv[:1] + file_flags + argv[1:]
-        args = build_parser().parse_args(argv)
+            argv = argv[:1] + _config_flags(parser, argv[0], config) + argv[1:]
+        args = parser.parse_args(argv)
         return args.func(args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

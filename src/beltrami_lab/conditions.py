@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coefficients import CoefficientSpec, coefficient_fields
 from .dilatation import maximal_dilatation, tangential_dilatation
@@ -82,6 +81,10 @@ def circle_mean(q, z0: complex, r: float, m: int = 64) -> float:
 
 def disk_integral(q, z0: complex, radius: float) -> float:
     """2-D integral of q over the disk B(z0, radius) via radial quadrature."""
+    # imported on first use: scipy.integrate brings scipy.optimize, .sparse
+    # and .linalg, which solve and verify would otherwise load for nothing
+    from scipy.integrate import quad
+
     def integrand(r):
         return 2.0 * np.pi * r * circle_mean(q, z0, r)
 
@@ -91,6 +94,8 @@ def disk_integral(q, z0: complex, radius: float) -> float:
 
 def _partial_integrals(integrand, upper: float, eps_ladder) -> list:
     """int_eps^upper of integrand for each eps of a decreasing ladder, one ring per quad."""
+    from scipy.integrate import quad
+
     partials = []
     acc = 0.0
     for eps in eps_ladder:

@@ -30,7 +30,9 @@ outside (verified against direct quadrature of the Cauchy integral).
 The FFTs are scipy.fft's. Every transform call checks the support of
 its input, and the forward FFT's first pass (along rows) runs only over
 the band of rows that hold a nonzero sample; the remaining rows are
-zero and transform to zero.
+zero and transform to zero. The T/S multipliers and the d/dbar
+multipliers of `derivatives` are cached apart per (L, n), so a solve
+builds only the former.
 """
 
 from __future__ import annotations
@@ -46,22 +48,36 @@ from .grid import DerivativePair, GridField, coordinates
 SUPPORT_EPS = 1e-13
 
 
+def _frequencies(L: float, n: int) -> np.ndarray:
+    """zeta = xi1 + i xi2 on the FFT grid of [-L, L]^2 with n samples per axis."""
+    xi = 2.0 * np.pi * fft.fftfreq(n, d=2.0 * L / n)
+    XI1, XI2 = np.meshgrid(xi, xi)
+    return XI1 + 1j * XI2
+
+
+def _frozen(*grids):
+    for m in grids:
+        m.flags.writeable = False
+    return grids
+
+
 @lru_cache(maxsize=16)
 def _kernels(L: float, n: int):
-    h = 2.0 * L / n
-    xi = 2.0 * np.pi * fft.fftfreq(n, d=h)
-    XI1, XI2 = np.meshgrid(xi, xi)
-    zeta = XI1 + 1j * XI2
+    """The T and S multipliers, zero at zeta = 0."""
+    zeta = _frequencies(L, n)
     nz = zeta != 0
     mult_T = np.zeros_like(zeta)
     mult_T[nz] = -2j / zeta[nz]
     mult_S = np.zeros_like(zeta)
     mult_S[nz] = np.conj(zeta[nz]) / zeta[nz]
-    mult_d = 0.5j * np.conj(zeta)
-    mult_dbar = 0.5j * zeta
-    for m in (mult_T, mult_S, mult_d, mult_dbar):
-        m.flags.writeable = False
-    return mult_T, mult_S, mult_d, mult_dbar
+    return _frozen(mult_T, mult_S)
+
+
+@lru_cache(maxsize=16)
+def _derivative_kernels(L: float, n: int):
+    """The d and dbar multipliers of the spectral `derivatives`; the solver never builds them."""
+    zeta = _frequencies(L, n)
+    return _frozen(0.5j * np.conj(zeta), 0.5j * zeta)
 
 
 @lru_cache(maxsize=16)
@@ -84,12 +100,10 @@ def _slug(L: float, n: int):
         (np.conj(Z) * (1.0 - one_minus_e) * Zs - sigma**2 * one_minus_e) / Zs**2,
     )
     g_hat = fft.fft2(g)
-    mult_T, mult_S = _kernels(L, n)[:2]
+    mult_T, mult_S = _kernels(L, n)
     R_T = Tg - fft.ifft2(mult_T * g_hat)
     R_S = Sg - fft.ifft2(mult_S * g_hat)
-    for m in (R_T, R_S):
-        m.flags.writeable = False
-    return R_T, R_S, 1.0 / (np.pi * sigma**2)
+    return (*_frozen(R_T, R_S), 1.0 / (np.pi * sigma**2))
 
 
 def _check_support(data: np.ndarray, L: float):
@@ -151,7 +165,7 @@ def derivatives(f: GridField, method: str = "spectral") -> DerivativePair:
     choice for non-periodic fields.
     """
     if method == "spectral":
-        _, _, mult_d, mult_dbar = _kernels(f.L, f.n)
+        mult_d, mult_dbar = _derivative_kernels(f.L, f.n)
         fh = fft.fft2(f.data)
         fz = fft.ifft2(mult_d * fh)
         fzbar = fft.ifft2(mult_dbar * fh)

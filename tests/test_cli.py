@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beltrami_lab
 from beltrami_lab import verify
 from beltrami_lab.cli import main
 from beltrami_lab.coefficients import builtin_catalog
@@ -268,3 +273,71 @@ def test_truncated_identity_ladder_exits_3(tmp_path):
     assert ladder["quasi_residual"] == pytest.approx(0.96)
     assert [(row["rung"], row["stop"]) for row in ladder["rungs"]] == [(2, "tol"), (4, "tol")]
     assert not ladder["ladder_converged"]
+
+
+def test_config_file_gives_several_values(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("spec = constant-disk:0.5\nQ = 3\nQ1 = 9\nz0 = 0 0.5\n")
+    assert run(["analyze", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert run(["analyze", "--spec", "constant-disk:0.5", "--Q", "3", "--Q1", "9",
+                "--z0", "0", "0.5", "--out", str(tmp_path / "flags")]) == 0
+    report = (tmp_path / "file" / "conditions.json").read_bytes()
+    assert report == (tmp_path / "flags" / "conditions.json").read_bytes()
+    assert len(json.loads(report)["probes"]) == 2
+
+
+@pytest.mark.parametrize("value, written", [("true", True), ("false", False)])
+def test_config_file_sets_a_switch(value, written, archive, tmp_path):
+    cfg = tmp_path / "check.ini"
+    cfg.write_text(f"archive = {archive}\nheatmaps = {value}\n")
+    out = tmp_path / "v"
+    assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "verification.json").exists()
+    assert (out / "residual.ppm").exists() is written
+    assert (out / "jacobian.ppm").exists() is written
+
+
+def test_config_switch_takes_only_true_or_false(archive, tmp_path, capsys):
+    cfg = tmp_path / "check.ini"
+    cfg.write_text(f"archive = {archive}\nheatmaps = maybe\n")
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    assert "heatmaps = maybe" in capsys.readouterr().err
+
+
+def _scipy_loaded_after(code):
+    """scipy subpackages in sys.modules of a fresh interpreter after running `code`."""
+    src = str(Path(beltrami_lab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted({m.split('.')[1] for m in sys.modules"
+             " if m.startswith('scipy.')})))")
+    proc = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_solve_and_verify_load_no_more_scipy_than_fft(tmp_path):
+    # compared with what scipy.fft itself loads (scipy.special, in recent
+    # releases), not with a fixed list that would move between scipy versions
+    fft_only = _scipy_loaded_after("import scipy.fft")
+    out = str(tmp_path / "run")
+    loaded = _scipy_loaded_after(
+        "from beltrami_lab import cli, transforms\n"
+        "assert cli.main(['solve', '--spec', 'constant-disk:0.5', '--grid', '32',"
+        f" '--ladder', '2,4', '--out', {out!r}]) in (0, 3)\n"
+        f"assert cli.main(['verify', '--archive', {out!r}]) == 0\n"
+        "assert transforms._derivative_kernels.cache_info().misses == 0\n")
+    assert "integrate" not in loaded
+    assert loaded <= fft_only, sorted(loaded - fft_only)
+
+
+def test_analyze_loads_scipy_integrate_on_its_first_quadrature(tmp_path):
+    out = str(tmp_path / "a")
+    loaded = _scipy_loaded_after(
+        "import sys\n"
+        "from beltrami_lab import cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "assert cli.main(['analyze', '--spec', 'constant-disk:0.5', '--Q', '3', '--Q1', '3',"
+        f" '--z0', '0', '--out', {out!r}]) == 0\n")
+    assert "integrate" in loaded
