@@ -83,6 +83,16 @@ def _write_json(payload, path):
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
+def _save_archive(solution, report, spec, out):
+    """The solution archive with its spec and residual, plus ladder.json."""
+    save_solution(solution, out, extra_meta={
+        "spec": spec_to_dict(spec),
+        "quasi_residual": report.quasi_residual,
+        "degenerate_samples": report.degenerate_samples,
+    })
+    report.to_json(out / "ladder.json")
+
+
 def _write_ladder_csv(report, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -96,8 +106,7 @@ def _write_ladder_csv(report, path):
 
 def cmd_catalog(args):
     for name in sorted(CATALOG):
-        _, doc = CATALOG[name]
-        print(f"{name:28s} {doc}")
+        print(f"{name:28s} {CATALOG[name][0]}")
     return 0
 
 
@@ -126,16 +135,7 @@ def cmd_solve(args):
     t0 = time.time()
     solution, report = solve_quasilinear(spec, cfg)
     elapsed = time.time() - t0
-    save_solution(
-        solution,
-        out,
-        extra_meta={
-            "spec": spec_to_dict(spec),
-            "quasi_residual": report.quasi_residual,
-            "degenerate_samples": report.degenerate_samples,
-        },
-    )
-    report.to_json(out / "ladder.json")
+    _save_archive(solution, report, spec, out)
     print(f"solved {spec.label or args.spec}: final rung {report.final_rung}, "
           f"residual {report.quasi_residual:.3e}, "
           f"ladder_converged={report.ladder_converged} ({elapsed:.1f}s)")
@@ -233,10 +233,7 @@ def cmd_example(args):
             "folds": vrep.injectivity["folded_cell_count"],
             "orientation_flips": vrep.injectivity["orientation_flips"],
         }
-        save_solution(solution, out / "solution", extra_meta={
-            "spec": spec_to_dict(spec),
-        })
-        report.to_json(out / "solution" / "ladder.json")
+        _save_archive(solution, report, spec, out / "solution")
         flips = vrep.injectivity["orientation_flips"]
         print(f"solved the example at n={cfg.grid_n}: residual {report.quasi_residual:.3e}, "
               f"jacobian fraction J<=0 {vrep.jacobian['fraction_nonpositive']:.2%}, "

@@ -1,19 +1,23 @@
 """Two-characteristic coefficient specifications mu(z, w), nu(z, w).
 
 A CoefficientSpec bundles expression trees for both characteristics and
-a compact support radius (both vanish where |z| > support_radius).
-`truncate` cuts sampled coefficients down to a rung n: by K it zeroes
-them wherever their own maximal dilatation exceeds n, by Q wherever a
-user-supplied majorant Q(z) exceeds n; either way the truncated pair
-satisfies |mu_n| + |nu_n| <= rung_bound(n) = (n-1)/(n+1).
+a compact support radius; both vanish outside |z| <= support_radius.
+Every grid sampling reads one cached index of the support samples and
+evaluates the expressions there only. `truncate` cuts sampled
+coefficients down to a rung n: by K it zeroes them wherever their own
+maximal dilatation exceeds n, by Q wherever a user-supplied majorant
+Q(z) exceeds n; either way the truncated pair satisfies
+|mu_n| + |nu_n| <= rung_bound(n) = (n-1)/(n+1).
 
 Evaluation is Caratheodory-shaped: measurable (here: deterministic and
-pointwise) in z, continuous in w wherever the formulas are.
+pointwise) in z, continuous in w wherever the formulas are. IEEE inf/nan
+propagate; callers mask or truncate degenerate samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .expressions import (
     parse_expression,
     standard_env,
 )
+from .grid import coordinates
 
 
 def parse_coefficient_expr(text: str):
@@ -47,38 +52,45 @@ class CoefficientSpec:
             raise ValueError("support_radius must be positive")
 
 
-def coefficient_fields(spec: CoefficientSpec, z, w, strict: bool = True):
-    """Evaluate (mu, nu) on arrays of z and w values, zero outside the support.
-
-    With strict=True an ellipticity failure |mu|+|nu| >= 1 at any sample
-    raises; strict=False returns the raw values (the caller masks or
-    truncates degenerate samples itself).
-    """
+def coefficient_fields(spec: CoefficientSpec, z, w):
+    """Evaluate (mu, nu) on arrays of z and w values, zero outside the support."""
     z = np.asarray(z, dtype=complex)
     w = np.broadcast_to(np.asarray(w, dtype=complex), z.shape)
     env = standard_env(z, w)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu = np.broadcast_to(evaluate(spec.mu_expr, env, strict=False), z.shape).copy()
-        nu = np.broadcast_to(evaluate(spec.nu_expr, env, strict=False), z.shape).copy()
+    mu = np.broadcast_to(evaluate(spec.mu_expr, env), z.shape).copy()
+    nu = np.broadcast_to(evaluate(spec.nu_expr, env), z.shape).copy()
     outside = np.abs(z) > spec.support_radius
     mu[outside] = 0.0
     nu[outside] = 0.0
-    if strict:
-        s = np.abs(mu) + np.abs(nu)
-        bad = ~(s < 1.0)
-        if np.any(bad):
-            idx = np.argwhere(bad)[0]
-            zb = z[tuple(idx)]
-            raise EllipticityViolation(
-                f"{spec.label or 'spec'}: |mu|+|nu| = {s[tuple(idx)]:.6g} >= 1 at z = {zb:.6g}"
-            )
     return mu, nu
 
 
 def eval_coefficients(spec: CoefficientSpec, z: complex, w: complex):
     """Pointwise (mu, nu) at one (z, w); guarantees |mu|+|nu| < 1 or raises."""
-    mu, nu = coefficient_fields(spec, np.asarray([z]), np.asarray([w]), strict=True)
+    mu, nu = coefficient_fields(spec, np.asarray([z]), np.asarray([w]))
+    s = np.abs(mu[0]) + np.abs(nu[0])
+    if not s < 1.0:
+        raise EllipticityViolation(
+            f"{spec.label or 'spec'}: |mu|+|nu| = {s:.6g} >= 1 at z = {complex(z):.6g}"
+        )
     return complex(mu[0]), complex(nu[0])
+
+
+@lru_cache(maxsize=16)
+def _support_index(L: float, n: int, radius: float) -> np.ndarray:
+    """Flat indices of the (L, n) grid samples with |z| <= radius, read-only."""
+    index = np.flatnonzero(np.abs(coordinates(L, n)) <= radius)
+    index.flags.writeable = False
+    return index
+
+
+def _support_samples(spec: CoefficientSpec, L: float, w: np.ndarray):
+    """The support index of the grid w (half-side L) and (mu, nu) at (z, w(z))
+    on those samples, in its order; the coefficients vanish elsewhere."""
+    n = w.shape[0]
+    index = _support_index(L, n, spec.support_radius)
+    mu, nu = coefficient_fields(spec, coordinates(L, n).flat[index], w.flat[index])
+    return index, mu, nu
 
 
 def rung_bound(n) -> float:
@@ -115,97 +127,46 @@ def truncate(mu, nu, n, q=None, z=None):
 
 
 # ---------------------------------------------------------------------------
-# builtin catalog
-
-_SEC4_EXPR = "exp(i*theta)*(1-r-abs(w))/(1+r+abs(w))"
-_SEC4_PHASE2_EXPR = "exp(2*i*theta)*(1-r-abs(w))/(1+r+abs(w))"
-
-
-def _entry_constant_disk(params):
-    if len(params) != 1:
-        raise ParamOutOfRange("constant-disk takes exactly one parameter k")
-    k = float(params[0])
-    if not abs(k) < 1:
-        raise ParamOutOfRange(f"constant-disk needs |k| < 1, got {k}")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(repr(k)),
-        support_radius=1.0,
-        label=f"constant-disk-{k:g}",
-    )
-
-
-def _entry_sec4(params):
-    if params:
-        raise ParamOutOfRange("paper-example-sec4 takes no parameters")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(_SEC4_EXPR),
-        support_radius=1.0,
-        label="paper-example-sec4",
-    )
-
-
-def _entry_sec4_phase2(params):
-    if params:
-        raise ParamOutOfRange("paper-example-sec4-phase2 takes no parameters")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(_SEC4_PHASE2_EXPR),
-        support_radius=1.0,
-        label="paper-example-sec4-phase2",
-    )
-
-
-def _entry_radial_power(params):
-    if len(params) != 2:
-        raise ParamOutOfRange("radial-power takes parameters [k, p]")
-    k, p = float(params[0]), float(params[1])
-    if not abs(k) < 1:
-        raise ParamOutOfRange(f"radial-power needs |k| < 1, got k = {k}")
-    if p <= 0:
-        raise ParamOutOfRange(f"radial-power needs p > 0, got p = {p}")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(f"{k!r}*r^{p!r}"),
-        support_radius=1.0,
-        label=f"radial-power-{k:g}-{p:g}",
-    )
-
-
-def _entry_w_damped_disk(params):
-    if len(params) != 1:
-        raise ParamOutOfRange("w-damped-disk takes exactly one parameter k")
-    k = float(params[0])
-    if not abs(k) < 1:
-        raise ParamOutOfRange(f"w-damped-disk needs |k| < 1, got {k}")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(f"{k!r}/(1+abs(w)^2)"),
-        support_radius=1.0,
-        label=f"w-damped-disk-{k:g}",
-    )
-
+# builtin catalog: name -> (doc, parameter names, mu template on the unit
+# disk); builtin_catalog fills the template with the repr of each parameter
 
 CATALOG = {
-    "constant-disk": (_entry_constant_disk, "[k]: mu = k on |z| < 1, |k| < 1"),
+    "constant-disk": ("[k]: mu = k on |z| < 1, |k| < 1", ("k",), "{k}"),
     "paper-example-sec4": (
-        _entry_sec4,
         "[]: mu = e^{i theta} (1-r-|w|)/(1+r+|w|) on the unit disk, unbounded dilatation at 0",
+        (),
+        "exp(i*theta)*(1-r-abs(w))/(1+r+abs(w))",
     ),
     "paper-example-sec4-phase2": (
-        _entry_sec4_phase2,
         "[]: phase-squared variant e^{2i theta} (...); its tangential dilatation is exactly r+|w|",
+        (),
+        "exp(2*i*theta)*(1-r-abs(w))/(1+r+abs(w))",
     ),
-    "radial-power": (_entry_radial_power, "[k, p]: mu = k r^p on |z| < 1"),
-    "w-damped-disk": (_entry_w_damped_disk, "[k]: mu = k/(1+|w|^2) on |z| < 1"),
+    "radial-power": ("[k, p]: mu = k r^p on |z| < 1", ("k", "p"), "{k}*r^{p}"),
+    "w-damped-disk": ("[k]: mu = k/(1+|w|^2) on |z| < 1", ("k",), "{k}/(1+abs(w)^2)"),
 }
 
 
 def builtin_catalog(name: str, params=()) -> CoefficientSpec:
-    """Build a catalog coefficient spec by name."""
+    """Build a catalog coefficient spec by name; needs |k| < 1 and p > 0."""
     try:
-        builder, _ = CATALOG[name]
+        _, names, template = CATALOG[name]
     except KeyError:
         raise UnknownCatalogEntry(
             f"unknown catalog entry {name!r}; known: {', '.join(sorted(CATALOG))}"
         ) from None
-    return builder(tuple(params))
+    if len(params) != len(names):
+        raise ParamOutOfRange(f"{name} takes parameters [{', '.join(names)}], got {len(params)}")
+    given = {key: float(v) for key, v in zip(names, params)}
+    if "k" in given and not abs(given["k"]) < 1:
+        raise ParamOutOfRange(f"{name} needs |k| < 1, got {given['k']}")
+    if "p" in given and not given["p"] > 0:
+        raise ParamOutOfRange(f"{name} needs p > 0, got {given['p']}")
+    return spec_from_dict({
+        "label": "-".join([name] + [f"{v:g}" for v in given.values()]),
+        "mu": template.format(**{key: repr(v) for key, v in given.items()}),
+        "support_radius": 1.0,
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class MajorantSpec:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        vals = evaluate(self.tree, standard_env(z), strict=False)
+        vals = evaluate(self.tree, standard_env(z))
         return np.broadcast_to(np.real(vals), z.shape).copy() if z.shape else float(np.real(vals))
 
 
@@ -61,7 +61,7 @@ def parse_radial_weight(text: str):
     tree = parse_expression(text, RADIAL_VARIABLES)
 
     def weight(t):
-        return float(np.real(evaluate(tree, {"t": complex(t)}, strict=False)))
+        return float(np.real(evaluate(tree, {"t": complex(t)})))
 
     return weight
 
@@ -341,7 +341,7 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
     worst_k = -np.inf
     Qv = Q(z_samples)
     for w in w_values:
-        mu, nu = coefficient_fields(spec, z_samples, np.full_like(z_samples, w), strict=False)
+        mu, nu = coefficient_fields(spec, z_samples, np.full_like(z_samples, w))
         K = maximal_dilatation(mu, nu)
         with np.errstate(invalid="ignore"):
             gap = np.where(np.isinf(Qv), -np.inf, K - Qv)
@@ -361,7 +361,7 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
         samples = z_samples[np.abs(z_samples - z0) > 1e-9]
         Q1v = q1(samples)
         for w in w_values:
-            mu, nu = coefficient_fields(spec, samples, np.full_like(samples, w), strict=False)
+            mu, nu = coefficient_fields(spec, samples, np.full_like(samples, w))
             for theta in thetas:
                 KT = tangential_dilatation(mu, nu, samples, z0, theta)
                 with np.errstate(invalid="ignore"):

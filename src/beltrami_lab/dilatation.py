@@ -67,11 +67,7 @@ def jacobian(fz, fzbar):
 
 def map_dilatation(fz, fzbar):
     """(|f_z| + |f_zbar|) / (|f_z| - |f_zbar|); 1 at rest points, +inf where J = 0."""
-    s = np.abs(np.asarray(fz)) + np.abs(np.asarray(fzbar))
-    d = np.abs(np.asarray(fz)) - np.abs(np.asarray(fzbar))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s == 0.0, 1.0, np.where(d > 0.0, s / np.where(d > 0.0, d, 1.0), np.inf))
-    return _maybe_scalar(out, np.isscalar(fz) and np.isscalar(fzbar))
+    return inner_dilatation_p(fz, fzbar, 2.0)
 
 
 def inner_dilatation_p(fz, fzbar, p):

@@ -13,10 +13,10 @@ Literals: decimal reals and the imaginary unit token ``i``.
 Variables: declared per parse; the coefficient set is {z, w, r, theta}
 with r = |z| and theta = arg z in [0, 2pi).
 
-Evaluation is numpy-vectorised over complex arrays. In strict mode a
-division by zero or a non-finite intermediate raises EvalError; in
-non-strict mode IEEE semantics (inf/nan) propagate, which is what the
-majorant evaluators rely on for extended-real values.
+Evaluation is numpy-vectorised over complex arrays with IEEE semantics:
+a division by zero or an overflow gives inf or nan, which propagates and
+never raises. The majorant evaluators rely on this for extended-real
+values, and the coefficient samplers mask or truncate such samples.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, ParseError, UnknownIdentifier
+from .errors import ParseError, UnknownIdentifier
 
 COEFFICIENT_VARIABLES = frozenset({"z", "w", "r", "theta"})
 MAJORANT_VARIABLES = frozenset({"z", "r", "theta"})
@@ -316,15 +316,11 @@ def standard_env(z, w=None):
     return env
 
 
-def evaluate(node, env, strict=True):
+def evaluate(node, env):
     """Evaluate a tree over an environment of complex scalars or arrays.
 
-    strict=True raises EvalError on division faults or non-finite results;
-    strict=False lets IEEE inf/nan propagate (extended-real semantics).
+    IEEE inf/nan propagate (extended-real semantics); nothing raises.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = _eval(node, env)
-    out = np.asarray(out, dtype=complex)
-    if strict and not np.all(np.isfinite(out)):
-        raise EvalError("non-finite value during expression evaluation")
-    return out
+    return np.asarray(out, dtype=complex)

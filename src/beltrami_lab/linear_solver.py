@@ -117,7 +117,7 @@ def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
     return GridField(omega.L, out)
 
 
-def normalize_solution(f, fz, fzbar, L, n):
+def normalize_solution(f, fz, fzbar, L):
     """Pin f(0) = 0 and |f(1)| = 1 by translation and positive real scaling."""
     f0 = complex(GridField(L, f).interp(0.0 + 0.0j))
     f_shift = f - f0
@@ -165,7 +165,7 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
     f = prob.mu.z + cauchy_transform(omega).data
     fz = 1.0 + beurling_transform(omega).data
     fzbar = omega.data
-    f, fz, fzbar, norm = normalize_solution(f, fz, fzbar, L, n)
+    f, fz, fzbar, norm = normalize_solution(f, fz, fzbar, L)
     res_field = fzbar - prob.mu.data * fz - prob.nu.data * np.conj(fz)
     residual = l2_norm(res_field) / l2_norm(fz)
     if tol <= cfg.inner_tol and residual > cfg.residual_tol:

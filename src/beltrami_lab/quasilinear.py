@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, coefficient_fields, rung_bound, truncate
+from .coefficients import CoefficientSpec, _support_samples, rung_bound, truncate
 from .dilatation import elliptic_mask
 from .errors import EmptyCompact, NotContractive
 from .grid import GridField, coordinates
@@ -115,28 +114,17 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
     return float(np.abs(f.data - g.data)[mask].max())
 
 
-@lru_cache(maxsize=16)
-def _support_index(L: float, n: int, radius: float) -> np.ndarray:
-    """Flat indices of the (L, n) samples with |z| <= radius."""
-    index = np.flatnonzero(np.abs(coordinates(L, n)) <= radius)
-    index.flags.writeable = False
-    return index
-
-
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
     """Sample the coefficients at (z, f(z)) onto grids, truncated at the rung.
 
     Truncation is by the majorant q when given, else by K. The returned
-    grids satisfy |mu| + |nu| <= rung_bound(rung). The expressions are
-    evaluated only at samples with |z| <= spec.support_radius; the
-    coefficients vanish at the others.
+    grids satisfy |mu| + |nu| <= rung_bound(rung).
     """
     Z = f.z
-    inside = _support_index(f.L, f.n, spec.support_radius)
+    inside, mu_in, nu_in = _support_samples(spec, f.L, f.data)
     mu = np.zeros(Z.shape, dtype=complex)
     nu = np.zeros(Z.shape, dtype=complex)
-    mu.flat[inside], nu.flat[inside] = coefficient_fields(
-        spec, Z.flat[inside], f.data.flat[inside], strict=False)
+    mu.flat[inside], nu.flat[inside] = mu_in, nu_in
     mu, nu = truncate(mu, nu, rung, q, Z)
     return GridField(f.L, mu), GridField(f.L, nu)
 
@@ -149,10 +137,8 @@ def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
     the support means no rung is elliptic there and the fixed point is
     not a contraction.
     """
-    Z = coordinates(L, n)
-    mu, nu = coefficient_fields(spec, Z, Z, strict=False)
-    support = np.abs(Z) < spec.support_radius
-    frac = float((~elliptic_mask(mu, nu))[support].mean())
+    _, mu, nu = _support_samples(spec, L, coordinates(L, n))  # sampled at w = z
+    frac = float((~elliptic_mask(mu, nu)).mean())
     if frac > 0.05:
         raise NotContractive(
             f"{spec.label or 'spec'}: |mu|+|nu| >= 1 on {frac:.1%} of the support"

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, coefficient_fields
+from .coefficients import CoefficientSpec, _support_index, _support_samples
 from .dilatation import elliptic_mask, inner_dilatation_p, jacobian
 from .errors import EmptyCompact, NotInvertible
-from .grid import GridField
+from .grid import GridField, l2_norm
 from .linear_solver import Solution
 
 
@@ -33,19 +33,21 @@ def residual(solution: Solution, spec: CoefficientSpec):
     a.e. integral; they are excluded from the norms and counted in the
     report. The solver's quasi_residual is this l2_rel.
     """
-    Z = solution.f.z
-    mu, nu = coefficient_fields(spec, Z, solution.f.data, strict=False)
-    res = solution.fzbar.data - mu * solution.fz.data - nu * np.conj(solution.fz.data)
-    support = np.abs(Z) <= spec.support_radius
-    good = support & elliptic_mask(mu, nu)
-    degenerate = int(support.sum() - good.sum())
-    denom = float(np.linalg.norm(solution.fz.data[support]))
+    f = solution.f
+    # the returned grid outlives the support-sized temporaries; allocating
+    # it first keeps it from splitting the heap space they free
+    out = np.zeros(f.data.shape, dtype=complex)
+    inside, mu, nu = _support_samples(spec, f.L, f.data)
+    fz = solution.fz.data.flat[inside]
+    res = solution.fzbar.data.flat[inside] - mu * fz - nu * np.conj(fz)
+    good = elliptic_mask(mu, nu)
     norms = {
-        "l2_rel": float(np.linalg.norm(res[good]) / max(denom, 1e-300)),
+        "l2_rel": l2_norm(res[good]) / max(l2_norm(fz), 1e-300),
         "sup": float(np.abs(res[good]).max()) if good.any() else 0.0,
-        "degenerate_samples": degenerate,
+        "degenerate_samples": int(good.size - good.sum()),
     }
-    return GridField(solution.f.L, np.where(good, res, 0.0)), norms
+    out.flat[inside] = np.where(good, res, 0.0)
+    return GridField(f.L, out), norms
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +59,7 @@ def jacobian_stats(solution: Solution, ppm=None):
     J = jacobian(solution.fz.data, solution.fzbar.data)
     if ppm is not None:
         write_ppm(J, ppm)
-    J = J[np.abs(solution.f.z) <= solution.support_radius]
+    J = J.flat[_support_index(solution.f.L, solution.f.n, solution.support_radius)]
     return {
         "min": float(J.min()),
         "fraction_nonpositive": float((J <= 0.0).mean()),

@@ -341,3 +341,14 @@ def test_analyze_loads_scipy_integrate_on_its_first_quadrature(tmp_path):
         "assert cli.main(['analyze', '--spec', 'constant-disk:0.5', '--Q', '3', '--Q1', '3',"
         f" '--z0', '0', '--out', {out!r}]) == 0\n")
     assert "integrate" in loaded
+
+
+def test_example_archive_has_the_solve_meta_keys(tmp_path):
+    assert run(["example", "--grid", "32", "--ladder", "2,4",
+                "--out", str(tmp_path / "ex")]) in (0, 3)
+    assert run(["solve", "--spec", "paper-example-sec4", "--grid", "32", "--ladder", "2,4",
+                "--out", str(tmp_path / "run")]) in (0, 3)
+    example = json.loads((tmp_path / "ex" / "solution" / "meta.json").read_text())
+    solve = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert example.keys() == solve.keys()
+    assert (tmp_path / "ex" / "solution" / "ladder.json").exists()

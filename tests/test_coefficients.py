@@ -78,7 +78,7 @@ def test_truncation_by_q_zeroes_inner_disk():
     spec = builtin_catalog("paper-example-sec4")
     q = lambda z: 1.0 / np.abs(z)
     z = np.array([0.1, 0.2, 0.25, 0.3, 0.8])
-    mu, _ = truncate(*coefficient_fields(spec, z, np.zeros(5), strict=False), 4, q, z)
+    mu, _ = truncate(*coefficient_fields(spec, z, np.zeros(5)), 4, q, z)
     assert np.all(mu[:2] == 0)
     assert np.all(mu[2:] != 0)
 
@@ -93,7 +93,7 @@ def test_truncation_by_k_kills_constant_disk_above_rung():
 
 def test_truncated_sec4_never_raises_at_degenerate_point():
     spec = builtin_catalog("paper-example-sec4")
-    mu, nu = truncate(*coefficient_fields(spec, np.array([0j]), np.array([0j]), strict=False), 8)
+    mu, nu = truncate(*coefficient_fields(spec, np.array([0j]), np.array([0j])), 8)
     assert mu[0] == 0 and nu[0] == 0
 
 
@@ -202,8 +202,47 @@ def test_spec_serializers_round_trip_catalog(name, tmp_path):
     via_file = load_spec_file(path)
     Z = np.linspace(-1.2, 1.2, 25)[:, None] + 1j * np.linspace(-1.2, 1.2, 25)[None, :]
     W = 0.7 * Z[::-1] + 0.1j
-    expected = coefficient_fields(spec, Z, W, strict=False)
+    expected = coefficient_fields(spec, Z, W)
     for loaded in (via_dict, via_file):
         assert (loaded.label, loaded.support_radius) == (spec.label, spec.support_radius)
-        for got, want in zip(coefficient_fields(loaded, Z, W, strict=False), expected):
+        for got, want in zip(coefficient_fields(loaded, Z, W), expected):
             np.testing.assert_array_equal(got, want)
+
+
+# spec_to_dict of every catalog entry as the hand-written builders made it
+CATALOG_DICTS = [
+    ("constant-disk", [0.96], "constant-disk-0.96", "0.95999999999999996"),
+    ("paper-example-sec4", [], "paper-example-sec4",
+     "exp(i*theta)*(1-r-abs(w))/(1+r+abs(w))"),
+    ("paper-example-sec4-phase2", [], "paper-example-sec4-phase2",
+     "exp(2*i*theta)*(1-r-abs(w))/(1+r+abs(w))"),
+    ("radial-power", [0.5, 1.5], "radial-power-0.5-1.5", "0.5*r^1.5"),
+    ("radial-power", [-0.25, 2.0], "radial-power--0.25-2", "-0.25*r^2"),
+    ("w-damped-disk", [0.9], "w-damped-disk-0.9", "0.90000000000000002/(1+abs(w)^2)"),
+]
+
+
+@pytest.mark.parametrize("name, params, label, mu", CATALOG_DICTS)
+def test_catalog_specs_are_pinned(name, params, label, mu):
+    assert spec_to_dict(builtin_catalog(name, params)) == {
+        "label": label, "mu": mu, "nu": "0", "support_radius": 1.0}
+
+
+def test_catalog_pins_cover_every_entry():
+    assert {name for name, *_ in CATALOG_DICTS} == set(CATALOG) == set(CATALOG_PARAMS)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_rejects_bad_parameters(name):
+    params = CATALOG_PARAMS[name]
+    names = CATALOG[name][1]
+    bad = [params + [0.5]] + ([params[:-1]] if params else [])
+    for slot, values in (("k", (1.0, -1.0, 1.5)), ("p", (0.0, -1.0))):
+        if slot in names:
+            for value in values:
+                changed = list(params)
+                changed[names.index(slot)] = value
+                bad.append(changed)
+    for wrong in bad:
+        with pytest.raises(ParamOutOfRange):
+            builtin_catalog(name, wrong)

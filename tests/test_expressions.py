@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrami_lab.errors import EvalError, ParseError, UnknownIdentifier
+from beltrami_lab.errors import ParseError, UnknownIdentifier
 from beltrami_lab.expressions import (
     BinOp,
     Func,
@@ -17,9 +17,9 @@ from beltrami_lab.expressions import (
 )
 
 
-def ev(text, z, w=0j, strict=True):
+def ev(text, z, w=0j):
     tree = parse_expression(text)
-    return complex(evaluate(tree, standard_env(z, w), strict=strict))
+    return complex(evaluate(tree, standard_env(z, w)))
 
 
 def test_zero_constant():
@@ -81,9 +81,7 @@ def test_theta_is_arg_z_in_0_2pi():
 
 
 def test_division_by_zero_strict():
-    with pytest.raises(EvalError):
-        ev("1/r", 0)
-    assert np.isinf(ev("1/r", 0, strict=False).real)
+    assert np.isinf(ev("1/r", 0).real)
 
 
 def test_vectorized_evaluation_matches_scalar():
@@ -126,8 +124,8 @@ def test_print_parse_round_trip(tree, seed):
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     w = rng.normal(size=4) + 1j * rng.normal(size=4)
     env = standard_env(z, w)
-    a = evaluate(tree, env, strict=False)
-    b = evaluate(reparsed, env, strict=False)
+    a = evaluate(tree, env)
+    b = evaluate(reparsed, env)
     both_finite = np.isfinite(a) & np.isfinite(b)
     assert np.array_equal(np.isfinite(a), np.isfinite(b))
     np.testing.assert_allclose(a[both_finite], b[both_finite], rtol=1e-12, atol=1e-12)

@@ -145,9 +145,7 @@ def test_normalization_pins_f0_and_f1():
 
 def test_normalization_idempotent():
     sol = solve_linear(constant_disk_problem(0.5), CFG)
-    f2, fz2, fzb2, norm = normalize_solution(
-        sol.f.data, sol.fz.data, sol.fzbar.data, L, N
-    )
+    f2, fz2, fzb2, norm = normalize_solution(sol.f.data, sol.fz.data, sol.fzbar.data, L)
     assert norm.scale == pytest.approx(1.0, abs=1e-9)
     assert abs(norm.translation) < 1e-9
     np.testing.assert_allclose(f2, sol.f.data, atol=1e-8)

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from beltrami_lab import verify
-from beltrami_lab.coefficients import CoefficientSpec, builtin_catalog, parse_coefficient_expr
+from beltrami_lab import coefficients, quasilinear, verify
+from beltrami_lab.coefficients import (
+    CATALOG,
+    CoefficientSpec,
+    builtin_catalog,
+    coefficient_fields,
+    parse_coefficient_expr,
+)
+from beltrami_lab.dilatation import elliptic_mask
 from beltrami_lab.errors import NotInvertible
-from beltrami_lab.grid import from_function
+from beltrami_lab.grid import coordinates, from_function, l2_norm
 from beltrami_lab.linear_solver import IterationTrace, Normalization, Solution
 from beltrami_lab.quasilinear import SolverConfig
 from beltrami_lab.transforms import derivatives
@@ -96,6 +103,53 @@ def test_residual_corrupted_solution_flagged():
     )
     _, norms = residual(sol, builtin_catalog("constant-disk", [0.5]))
     assert norms["l2_rel"] > 1e-1
+
+
+CATALOG_PARAMS = {"constant-disk": [0.5], "radial-power": [0.9, 1.0], "w-damped-disk": [0.9]}
+
+
+def full_grid_residual(solution, spec):
+    """The residual with the coefficients sampled on the whole grid, then masked."""
+    Z = solution.f.z
+    mu, nu = coefficient_fields(spec, Z, solution.f.data)
+    res = solution.fzbar.data - mu * solution.fz.data - nu * np.conj(solution.fz.data)
+    support = np.abs(Z) <= spec.support_radius
+    good = support & elliptic_mask(mu, nu)
+    norms = {
+        "l2_rel": l2_norm(res[good]) / max(l2_norm(solution.fz.data[support]), 1e-300),
+        "sup": float(np.abs(res[good]).max()) if good.any() else 0.0,
+        "degenerate_samples": int(support.sum() - good.sum()),
+    }
+    return np.where(good, res, 0.0), norms
+
+
+@pytest.mark.parametrize("entry", sorted(CATALOG))
+def test_residual_equals_full_grid_sampling(entry):
+    # sampling inside the support only must not change a bit of the grid or its norms
+    spec = builtin_catalog(entry, CATALOG_PARAMS.get(entry, []))
+    sol = make_solution(lambda z: z + 0.3 * np.conj(z) * np.exp(-np.abs(z) ** 2), n=64)
+    got, norms = residual(sol, spec)
+    ref, ref_norms = full_grid_residual(sol, spec)
+    assert got.data.tobytes() == ref.tobytes()
+    assert norms == ref_norms
+
+
+def test_grid_sampling_reads_only_support_samples(monkeypatch):
+    seen = []
+    fields = coefficients.coefficient_fields
+
+    def spy(spec, z, w):
+        seen.append(np.asarray(z))
+        return fields(spec, z, w)
+
+    monkeypatch.setattr(coefficients, "coefficient_fields", spy)
+    spec = builtin_catalog("paper-example-sec4")
+    residual(make_solution(lambda z: z, n=64), spec)
+    quasilinear._check_uniform_ellipticity(spec, L, 64)
+    support = np.count_nonzero(np.abs(coordinates(L, 64)) <= spec.support_radius)
+    assert len(seen) == 2
+    for z in seen:
+        assert z.size == support and np.all(np.abs(z) <= spec.support_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +375,14 @@ def test_verification_report_and_ppm(tmp_path):
     raw = (tmp_path / "res.ppm").read_bytes()
     assert raw.startswith(b"P6 128 128 255\n")
     assert len(raw) == len(b"P6 128 128 255\n") + 3 * 128 * 128
+
+
+def test_solve_and_report_take_no_numpy_norm(monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called during a solve or its report")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    spec = builtin_catalog("constant-disk", [0.5])
+    sol, _ = quasilinear.solve_quasilinear(spec, SolverConfig(grid_n=64, box=L, ladder=(2, 4)))
+    report = verification_report(sol, spec, q_l1_norm=3.0 * np.pi)
+    assert report.inverse and report.continuity
