@@ -115,11 +115,13 @@ def injectivity_check(solution: Solution):
     overlaps itself (a fold or a multiple cover). PASS needs zero flips
     and zero overlap bins.
     """
-    A, B, C, *_ = _triangles(solution)
-    area2 = _signed_area2(A, B, C)
-    flips = int((area2 < 0).sum())
+    # the two triangles of each cell of _triangles, read off the grid in
+    # place rather than from concatenated copies of it
+    f = solution.f.data
+    flips = int((_signed_area2(f[:-1, :-1], f[:-1, 1:], f[1:, :-1]) < 0).sum()
+                + (_signed_area2(f[1:, 1:], f[1:, :-1], f[:-1, 1:]) < 0).sum())
 
-    poly = _boundary_polygon(solution.f.data)
+    poly = _boundary_polygon(f)
     lo_x, hi_x = poly.real.min(), poly.real.max()
     lo_y, hi_y = poly.imag.min(), poly.imag.max()
     bx = np.linspace(lo_x, hi_x, 49)
@@ -130,7 +132,11 @@ def injectivity_check(solution: Solution):
     centers = (CX + 1j * CY).ravel()
     # drop centers too close to the boundary curve for a stable winding number
     bin_diag = np.hypot(bx[1] - bx[0], by[1] - by[0])
-    dist = np.abs(centers[:, None] - poly[None, ::4]).min(axis=1)
+    # one vertex at a time: a (centers x vertices) temporary is megabytes,
+    # and whether the allocator serves it from fresh pages varies per run
+    dist = np.full(len(centers), np.inf)
+    for p in poly[::4]:
+        np.minimum(dist, np.abs(centers - p), out=dist)
     inner = centers[dist > 2.0 * bin_diag]
     if len(inner):
         winding = _winding_numbers(poly[::2], inner)

@@ -204,6 +204,32 @@ def test_injectivity_conjugate_fails_by_flips():
     assert out["orientation_flips"] > 0
 
 
+@pytest.mark.parametrize("fn", [
+    lambda z: z * z,
+    lambda z: np.abs(z.real) + 1j * z.imag,
+], ids=["square", "fold"])
+def test_injectivity_matches_full_matrix_reference(fn, monkeypatch):
+    # reference: flips from the concatenated triangles of _triangles, and the
+    # winding test's points from the full (centers x vertices) distance matrix
+    sol = make_solution(fn, n=32)
+    A, B, C, *_ = verify._triangles(sol)
+    poly = verify._boundary_polygon(sol.f.data)
+    bx = np.linspace(poly.real.min(), poly.real.max(), 49)
+    by = np.linspace(poly.imag.min(), poly.imag.max(), 49)
+    CX, CY = np.meshgrid(0.5 * (bx[:-1] + bx[1:]), 0.5 * (by[:-1] + by[1:]))
+    centers = (CX + 1j * CY).ravel()
+    dist = np.abs(centers[:, None] - poly[None, ::4]).min(axis=1)
+    inner = centers[dist > 2.0 * np.hypot(bx[1] - bx[0], by[1] - by[0])]
+    seen = []
+    winding = verify._winding_numbers
+    monkeypatch.setattr(verify, "_winding_numbers",
+                        lambda p, pts: seen.append(pts) or winding(p, pts))
+    out = verify.injectivity_check(sol)
+    assert out["orientation_flips"] == int((verify._signed_area2(A, B, C) < 0).sum())
+    assert len(seen) == 1 and np.array_equal(seen[0], inner)
+    assert not out["passed"]
+
+
 # ---------------------------------------------------------------------------
 # inverse audit
 
