@@ -84,12 +84,8 @@ def _write_json(payload, path):
 
 
 def _save_archive(solution, report, spec, out):
-    """The solution archive with its spec and residual, plus ladder.json."""
-    save_solution(solution, out, extra_meta={
-        "spec": spec_to_dict(spec),
-        "quasi_residual": report.quasi_residual,
-        "degenerate_samples": report.degenerate_samples,
-    })
+    """The solution archive with its spec, plus ladder.json."""
+    save_solution(solution, out, extra_meta={"spec": spec_to_dict(spec)})
     report.to_json(out / "ladder.json")
 
 

@@ -16,6 +16,9 @@ f_zbar = omega (spectrally exact), and is normalised to f(0) = 0,
 |f(1)| = 1: translation and positive real scaling preserve the equation
 exactly, while the rotation that would pin arg f(1) = 0 would conjugate
 nu, so only arg f(1) is reported.
+
+A Solution holds only what the solve computed: the spec owns the
+coefficient's label and support radius, and the ladder report the rung.
 """
 
 from __future__ import annotations
@@ -62,12 +65,10 @@ class IterationTrace:
     """Per-step L2 update norms of the Picard iteration."""
 
     update_norms: list = field(default_factory=list)
-    steps: int = 0
-    converged: bool = False
 
-    def record(self, update_norm: float):
-        self.update_norms.append(update_norm)
-        self.steps += 1
+    @property
+    def steps(self):
+        return len(self.update_norms)
 
     @property
     def ratios(self):
@@ -90,17 +91,15 @@ class Normalization:
 
 @dataclass
 class Solution:
-    """Mapped grid with derivative grids and solve metadata."""
+    """The normalised map and its derivative grids, with the solve's trace,
+    normalization and linear residual."""
 
     f: GridField
     fz: GridField
     fzbar: GridField
-    rung: int
     trace: IterationTrace
     normalization: Normalization
     residual_l2_rel: float
-    support_radius: float
-    label: str = ""
 
 
 def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
@@ -134,14 +133,14 @@ def raw_omega(sol: Solution) -> np.ndarray:
     return sol.fzbar.data / sol.normalization.scale
 
 
-def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0=None,
-                 tol=None) -> Solution:
+def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
     """Iterate picard_step from omega0 (default omega = 0) until the relative
     L2 update drops below tol (default cfg.inner_tol), then assemble and
     normalise the principal solution.
 
-    A solve at inner_tol or tighter raises MaxIterations when its residual
-    exceeds cfg.residual_tol; a looser solve is not checked."""
+    Raises MaxIterations after cfg.max_inner unconverged steps, and when a solve
+    at inner_tol or tighter (looser ones are not checked) leaves a residual
+    above cfg.residual_tol."""
     if prob.k_bound >= 1.0:
         raise NotContractive(f"k_bound = {prob.k_bound:.6g} >= 1")
     L, n = prob.mu.L, prob.mu.n
@@ -153,12 +152,11 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
     for _ in range(cfg.max_inner):
         omega_next = picard_step(omega, prob)
         update = l2_norm(omega_next.data - omega.data) * omega.h
-        trace.record(update)
+        trace.update_norms.append(update)
         omega = omega_next
         if update < tol * max(1.0, omega.norm_l2()):
-            trace.converged = True
             break
-    if not trace.converged:
+    else:
         raise MaxIterations(
             f"no convergence in {cfg.max_inner} Picard steps; last update {update:.3g}"
         )
@@ -176,12 +174,9 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
         f=GridField(L, f),
         fz=GridField(L, fz),
         fzbar=GridField(L, fzbar),
-        rung=0,
         trace=trace,
         normalization=norm,
         residual_l2_rel=residual,
-        support_radius=L / 2 if support_radius is None else support_radius,
-        label=label,
     )
 
 
@@ -189,18 +184,14 @@ def solve_linear(prob: LinearProblem, cfg, support_radius=None, label="", omega0
 # solution archives
 
 def save_solution(sol: Solution, outdir, extra_meta=None):
-    """Write f/fz/fzbar grids plus JSON metadata into a directory."""
+    """Write the f/fz/fzbar grids, whose headers hold box and size, and
+    meta.json: the rest of the Solution plus the caller's keys (the spec)."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     sol.f.save(out / "f.blgf")
     sol.fz.save(out / "fz.blgf")
     sol.fzbar.save(out / "fzbar.blgf")
     meta = {
-        "box": sol.f.L,
-        "n": sol.f.n,
-        "rung": sol.rung,
-        "label": sol.label,
-        "support_radius": sol.support_radius,
         "residual_l2_rel": sol.residual_l2_rel,
         "normalization": {
             "translation": [sol.normalization.translation.real, sol.normalization.translation.imag],
@@ -217,27 +208,17 @@ def save_solution(sol: Solution, outdir, extra_meta=None):
 
 
 def load_solution(indir) -> Solution:
+    """Read an archive; keys it does not read (older archives carry more) are ignored."""
     src = Path(indir)
     with open(src / "meta.json") as fh:
         meta = json.load(fh)
-    tr = meta["trace"]
-    trace = IterationTrace(
-        update_norms=tr["update_norms"], steps=tr["steps"], converged=tr["converged"]
-    )
     nm = meta["normalization"]
-    norm = Normalization(
-        translation=complex(nm["translation"][0], nm["translation"][1]),
-        scale=nm["scale"],
-        arg_f1=nm["arg_f1"],
-    )
+    norm = Normalization(complex(*nm["translation"]), nm["scale"], nm["arg_f1"])
     return Solution(
         f=grid.load(src / "f.blgf"),
         fz=grid.load(src / "fz.blgf"),
         fzbar=grid.load(src / "fzbar.blgf"),
-        rung=meta["rung"],
-        trace=trace,
+        trace=IterationTrace(update_norms=meta["trace"]["update_norms"]),
         normalization=norm,
         residual_l2_rel=meta["residual_l2_rel"],
-        support_radius=meta["support_radius"],
-        label=meta.get("label", ""),
     )

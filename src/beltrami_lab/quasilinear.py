@@ -187,10 +187,8 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             warm = outer_steps > 1
             solve_tol = (max(cfg.inner_tol, min(_FORCING_CAP, _FORCING_RATIO * update))
                          if warm else cfg.inner_tol)
-            solution = solve_linear(
-                prob, cfg, support_radius=spec.support_radius, label=spec.label,
-                omega0=raw_omega(solution) if warm else None, tol=solve_tol,
-            )
+            solution = solve_linear(prob, cfg, omega0=raw_omega(solution) if warm else None,
+                                    tol=solve_tol)
             picard_steps.append(solution.trace.steps)
             update = compact_sup_distance(solution.f, f_current, largest_margin)
             # truncation-boundary cells can flip between steps and lock the
@@ -220,14 +218,10 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             # whatever the stop, the rung's solution meets inner_tol: continue
             # the last solve from where it ended
             last = solution
-            solution = solve_linear(
-                prob, cfg, support_radius=spec.support_radius, label=spec.label,
-                omega0=raw_omega(last),
-            )
+            solution = solve_linear(prob, cfg, omega0=raw_omega(last))
             picard_steps.append(solution.trace.steps)
             if f_current is last.f:  # the iterate was that solve, undamped
                 f_current = solution.f
-        solution.rung = rung
         distances = (
             [compact_sup_distance(f_current, prev_rung_f, m) for m in cfg.compact_margins]
             if prev_rung_f is not None

@@ -4,6 +4,9 @@ Residual of the untruncated equation, Jacobian sign statistics,
 injectivity (orientation flips plus a winding-number cover test over
 the image), discrete inverse construction with inner-dilatation
 integrals, and the log-Holder continuity fit.
+
+Each certificate that needs the domain takes the spec and reads its
+support radius; a Solution carries none.
 """
 
 from __future__ import annotations
@@ -53,13 +56,13 @@ def residual(solution: Solution, spec: CoefficientSpec):
 # ---------------------------------------------------------------------------
 # jacobian statistics
 
-def jacobian_stats(solution: Solution, ppm=None):
-    """min J and the fraction of samples with J <= 0 over the support; the
-    heatmap of J over the whole grid goes to the path `ppm` when given."""
+def jacobian_stats(solution: Solution, spec: CoefficientSpec, ppm=None):
+    """min J and the fraction of samples with J <= 0 over the spec's support;
+    the heatmap of J over the whole grid goes to the path `ppm` when given."""
     J = jacobian(solution.fz.data, solution.fzbar.data)
     if ppm is not None:
         write_ppm(J, ppm)
-    J = J.flat[_support_index(solution.f.L, solution.f.n, solution.support_radius)]
+    J = J.flat[_support_index(solution.f.L, solution.f.n, spec.support_radius)]
     return {
         "min": float(J.min()),
         "fraction_nonpositive": float((J <= 0.0).mean()),
@@ -69,17 +72,21 @@ def jacobian_stats(solution: Solution, ppm=None):
 # ---------------------------------------------------------------------------
 # injectivity
 
+_LO, _HI = slice(None, -1), slice(1, None)
+# the two triangles of each grid cell, as (A, B, C) vertex slices of a grid:
+# lower-left, then upper-right. Triangles are numbered in that order, every
+# lower-left one (cells in row-major order) before any upper-right one.
+_CELL_TRIANGLES = (
+    ((_LO, _LO), (_LO, _HI), (_HI, _LO)),
+    ((_HI, _HI), (_HI, _LO), (_LO, _HI)),
+)
+
+
 def _triangles(solution: Solution):
-    """Split every grid cell into two triangles; return image and source vertices."""
-    f = solution.f.data
-    Z = solution.f.z
-    A = np.concatenate([f[:-1, :-1].ravel(), f[1:, 1:].ravel()])
-    B = np.concatenate([f[:-1, 1:].ravel(), f[1:, :-1].ravel()])
-    C = np.concatenate([f[1:, :-1].ravel(), f[:-1, 1:].ravel()])
-    Az = np.concatenate([Z[:-1, :-1].ravel(), Z[1:, 1:].ravel()])
-    Bz = np.concatenate([Z[:-1, 1:].ravel(), Z[1:, :-1].ravel()])
-    Cz = np.concatenate([Z[1:, :-1].ravel(), Z[:-1, 1:].ravel()])
-    return A, B, C, Az, Bz, Cz
+    """Split every grid cell into two triangles; return image and source vertices
+    A, B, C, Az, Bz, Cz as flat arrays in triangle order."""
+    return tuple(np.concatenate([g[tri[v]].ravel() for tri in _CELL_TRIANGLES])
+                 for g in (solution.f.data, solution.f.z) for v in range(3))
 
 
 def _signed_area2(A, B, C):
@@ -115,11 +122,9 @@ def injectivity_check(solution: Solution):
     overlaps itself (a fold or a multiple cover). PASS needs zero flips
     and zero overlap bins.
     """
-    # the two triangles of each cell of _triangles, read off the grid in
-    # place rather than from concatenated copies of it
+    # the triangles read off the grid in place, not from concatenated copies
     f = solution.f.data
-    flips = int((_signed_area2(f[:-1, :-1], f[:-1, 1:], f[1:, :-1]) < 0).sum()
-                + (_signed_area2(f[1:, 1:], f[1:, :-1], f[:-1, 1:]) < 0).sum())
+    flips = sum(int((_signed_area2(*(f[v] for v in tri)) < 0).sum()) for tri in _CELL_TRIANGLES)
 
     poly = _boundary_polygon(f)
     lo_x, hi_x = poly.real.min(), poly.real.max()
@@ -159,9 +164,10 @@ def _locate(solution: Solution, w_half: float, image_n: int, source_mask):
     Each lattice point [j, k] takes the lowest-numbered masked triangle
     that contains it (barycentric test, 1e-12 slack); others stay NaN.
     """
-    A, B, C, Az, Bz, Cz = _triangles(solution)
-    m = np.tile(source_mask[:-1, :-1].ravel(), 2)
-    A, B, C, Az, Bz, Cz = (arr[m] for arr in (A, B, C, Az, Bz, Cz))
+    # the masked triangles only, in triangle order: nothing unmasked is copied
+    m = source_mask[:-1, :-1]
+    A, B, C, Az, Bz, Cz = (np.concatenate([g[tri[v]][m] for tri in _CELL_TRIANGLES])
+                           for g in (solution.f.data, solution.f.z) for v in range(3))
     hw = 2.0 * w_half / image_n
     ax = -w_half + hw * np.arange(image_n)
 
@@ -196,11 +202,12 @@ def _locate(solution: Solution, w_half: float, image_n: int, source_mask):
     return out.reshape(image_n, image_n)
 
 
-def inverse_dilatation_audit(solution: Solution, p: float, injectivity=None):
+def inverse_dilatation_audit(solution: Solution, spec: CoefficientSpec, p: float,
+                             injectivity=None):
     """Integrate K_{I,p} of the discrete inverse.
 
     Builds g = f^{-1} on a 96 x 96 lattice over the square of half-side
-    0.7 min |f| on the support circle by triangle point location,
+    0.7 min |f| on the spec's support circle by triangle point location,
     differentiates by centered differences, and Riemann-sums the inner
     dilatation. Raises NotInvertible if the solution fails the
     injectivity check, which runs here unless its result is passed in.
@@ -211,12 +218,12 @@ def inverse_dilatation_audit(solution: Solution, p: float, injectivity=None):
     if not check["passed"]:
         raise NotInvertible(f"injectivity check failed: {check}")
     Z = solution.f.z
-    ring = np.abs(np.abs(Z) - solution.support_radius) < 2 * solution.f.h
+    ring = np.abs(np.abs(Z) - spec.support_radius) < 2 * solution.f.h
     if not ring.any():
         ring = np.abs(Z) > 0.9 * np.abs(Z).max()
     w_half = 0.7 * float(np.abs(solution.f.data[ring]).min())
     hw = 2.0 * w_half / 96
-    source_mask = np.abs(Z) <= min(solution.support_radius * 1.5, solution.f.L * 0.75)
+    source_mask = np.abs(Z) <= min(spec.support_radius * 1.5, solution.f.L * 0.75)
     g = _locate(solution, w_half, 96, source_mask)
     located = np.isfinite(g.real)
     gy, gx = np.gradient(g, hw, edge_order=1)
@@ -242,7 +249,8 @@ def inverse_dilatation_audit(solution: Solution, p: float, injectivity=None):
 # ---------------------------------------------------------------------------
 # log-Holder continuity fit
 
-def continuity_modulus_fit(solution: Solution, q_l1_norm: float, margin: float):
+def continuity_modulus_fit(solution: Solution, spec: CoefficientSpec, q_l1_norm: float,
+                           margin: float):
     """Fit the smallest C with |f(x) - f(y)| <= C sqrt(q_l1_norm) / log^{1/2}(1 + r0/(2|x-y|)).
 
     200 pairs (seed 0) are sampled inside the compact K = {|z| <=
@@ -251,7 +259,7 @@ def continuity_modulus_fit(solution: Solution, q_l1_norm: float, margin: float):
     """
     if q_l1_norm <= 0:
         raise ValueError("q_l1_norm must be positive")
-    r_compact = solution.support_radius - margin
+    r_compact = spec.support_radius - margin
     if r_compact <= 0:
         raise EmptyCompact(f"margin {margin} leaves no compact inside the support")
     rng = np.random.default_rng(0)
@@ -308,13 +316,14 @@ def verification_report(solution: Solution, spec: CoefficientSpec, q_l1_norm: fl
         residual_sup=norms["sup"],
         degenerate_samples=norms["degenerate_samples"],
         jacobian=jacobian_stats(
-            solution, None if heatmaps is None else Path(heatmaps) / "jacobian.ppm"),
+            solution, spec, None if heatmaps is None else Path(heatmaps) / "jacobian.ppm"),
         injectivity=injectivity_check(solution),
     )
     if with_inverse and report.injectivity["passed"]:
-        report.inverse = inverse_dilatation_audit(solution, p=2.0, injectivity=report.injectivity)
+        report.inverse = inverse_dilatation_audit(solution, spec, p=2.0,
+                                                  injectivity=report.injectivity)
     if q_l1_norm:
-        report.continuity = continuity_modulus_fit(solution, q_l1_norm, 0.5)
+        report.continuity = continuity_modulus_fit(solution, spec, q_l1_norm, 0.5)
     return report
 
 

@@ -261,10 +261,11 @@ def test_criterion_6_inverse_audit_oracle():
         f=f,
         fz=from_function(L, n, lambda z: np.ones_like(z)),
         fzbar=from_function(L, n, lambda z: np.full_like(z, 0.5)),
-        rung=0, trace=IterationTrace(), normalization=Normalization(0j, 1.0, 0.0),
-        residual_l2_rel=0.0, support_radius=1.0, label="affine",
+        trace=IterationTrace(), normalization=Normalization(0j, 1.0, 0.0),
+        residual_l2_rel=0.0,
     )
-    out = inverse_dilatation_audit(sol, p=2.0)
+    unit_disk = builtin_catalog("constant-disk", [0.5])  # f solves it inside the support
+    out = inverse_dilatation_audit(sol, unit_disk, p=2.0)
     dev = max(abs(out["mean_KIp"] - 3.0), abs(out["max_KIp"] - 3.0)) / 3.0
     integral_ok = abs(out["integral_KIp"] - 3.0 * out["window_area"]) <= 0.01 * 3.0 * out["window_area"]
     report(
@@ -276,11 +277,11 @@ def test_criterion_6_inverse_audit_oracle():
 
 
 def test_criterion_7_continuity_fit_stability(sec4_128, sec4_256):
-    _, sol128, _ = sec4_128
+    spec, sol128, _ = sec4_128
     _, sol256, _, _ = sec4_256
     q_l1 = 2 * np.pi
-    fit128 = continuity_modulus_fit(sol128, q_l1, margin=0.5)
-    fit256 = continuity_modulus_fit(sol256, q_l1, margin=0.5)
+    fit128 = continuity_modulus_fit(sol128, spec, q_l1, margin=0.5)
+    fit256 = continuity_modulus_fit(sol256, spec, q_l1, margin=0.5)
     c1, c2 = fit128["C"], fit256["C"]
     ok = np.isfinite(c1) and np.isfinite(c2) and abs(c1 - c2) <= 0.2 * max(c1, c2)
     report(
@@ -302,28 +303,27 @@ def test_criterion_8_negative_controls():
     field = from_function(L, n, corrupt)
     pair = derivatives(field, method="fd")
     bad = Solution(
-        f=field, fz=pair.fz, fzbar=pair.fzbar, rung=0, trace=IterationTrace(),
+        f=field, fz=pair.fz, fzbar=pair.fzbar, trace=IterationTrace(),
         normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
-        support_radius=1.0,
     )
-    _, norms = residual(bad, builtin_catalog("constant-disk", [0.5]))
+    unit_disk = builtin_catalog("constant-disk", [0.5])
+    _, norms = residual(bad, unit_disk)
     ok_corrupt = norms["l2_rel"] > 1e-1
 
     conj_sol = Solution(
         f=from_function(L, n, np.conj),
         fz=zeros(L, n),
         fzbar=from_function(L, n, lambda z: np.ones_like(z)),
-        rung=0, trace=IterationTrace(), normalization=Normalization(0j, 1.0, 0.0),
-        residual_l2_rel=0.0, support_radius=1.0,
+        trace=IterationTrace(), normalization=Normalization(0j, 1.0, 0.0),
+        residual_l2_rel=0.0,
     )
-    ok_conj = jacobian_stats(conj_sol)["fraction_nonpositive"] == 1.0
+    ok_conj = jacobian_stats(conj_sol, unit_disk)["fraction_nonpositive"] == 1.0
 
     sq = from_function(L, n, lambda z: z * z)
     sq_pair = derivatives(sq, method="fd")
     sq_sol = Solution(
-        f=sq, fz=sq_pair.fz, fzbar=sq_pair.fzbar, rung=0, trace=IterationTrace(),
+        f=sq, fz=sq_pair.fz, fzbar=sq_pair.fzbar, trace=IterationTrace(),
         normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
-        support_radius=1.0,
     )
     ok_square = not injectivity_check(sq_sol)["passed"]
 

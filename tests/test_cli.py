@@ -11,6 +11,7 @@ import beltrami_lab
 from beltrami_lab import verify
 from beltrami_lab.cli import main
 from beltrami_lab.coefficients import builtin_catalog
+from beltrami_lab.dilatation import jacobian
 from beltrami_lab.linear_solver import load_solution
 
 
@@ -88,6 +89,10 @@ def test_solve_and_verify_archive(tmp_path):
     assert (out / "ladder.json").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["spec"]["support_radius"] == 1.0
+    # each fact once: box and size live in the grid headers, rung and
+    # quasi_residual in ladder.json, label and support in the spec
+    assert set(meta) == {"normalization", "residual_l2_rel", "spec", "trace"}
+    assert set(meta["trace"]) == {"update_norms"}
 
     code = run(["verify", "--archive", str(out), "--heatmaps"])
     assert code == 0
@@ -129,6 +134,43 @@ def test_archive_with_stored_ratios_still_verifies(tmp_path):
     assert report["residual_l2_rel"] <= 1e-3
 
 
+def test_archive_in_the_older_format_still_verifies(tmp_path):
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    assert run(["verify", "--archive", str(out), "--out", str(tmp_path / "new")]) == 0
+    # the older format also stored the grid geometry, the rung, the spec's
+    # label and support, the ladder's residual and the trace's counters
+    meta = json.loads((out / "meta.json").read_text())
+    ladder = json.loads((out / "ladder.json").read_text())
+    meta.update(box=2.0, n=64, rung=ladder["final_rung"], label=meta["spec"]["label"],
+                support_radius=meta["spec"]["support_radius"],
+                quasi_residual=ladder["quasi_residual"],
+                degenerate_samples=ladder["degenerate_samples"])
+    meta["trace"].update(steps=len(meta["trace"]["update_norms"]), converged=True)
+    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    assert run(["verify", "--archive", str(out), "--out", str(tmp_path / "old")]) == 0
+    assert ((tmp_path / "old" / "verification.json").read_bytes()
+            == (tmp_path / "new" / "verification.json").read_bytes())
+
+
+def test_verify_spec_override_sets_every_certificate_domain(tmp_path):
+    # the archive's spec has the unit disk as support; the override's is |z| <= 0.5
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "128", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    half = tmp_path / "half.spec"
+    half.write_text('label = "half"\nmu = "0.5"\nnu = "0"\nsupport_radius = 0.5\n')
+    assert run(["verify", "--archive", str(out), "--spec", str(half),
+                "--out", str(tmp_path / "half")]) == 0
+    report = json.loads((tmp_path / "half" / "verification.json").read_text())
+    sol = load_solution(out)
+    J = jacobian(sol.fz.data, sol.fzbar.data)
+    radius = np.abs(sol.f.z)
+    assert report["jacobian"]["min"] == float(J[radius <= 0.5].min())
+    assert J[radius <= 1.0].min() < J[radius <= 0.5].min()
+
+
 def test_solve_rejects_degenerate_spec(tmp_path):
     spec_file = tmp_path / "bad.spec"
     spec_file.write_text('label = "too-big"\nmu = "1.2"\nnu = "0"\nsupport_radius = 1.0\n')
@@ -144,8 +186,7 @@ def test_config_file_flags_override(tmp_path):
     code = run(["solve", "--spec", "constant-disk:0.5", "--config", str(cfg),
                 "--out", str(out)])
     assert code == 0
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["n"] == 64
+    assert load_solution(out).f.n == 64
 
 
 def test_deterministic_reports(tmp_path):
@@ -232,7 +273,7 @@ def test_config_repeated_key_last_wins(tmp_path):
     out = tmp_path / "out"
     assert run(["solve", "--spec", "constant-disk:0.5", "--config", str(cfg),
                 "--out", str(out)]) == 0
-    assert json.loads((out / "meta.json").read_text())["n"] == 64
+    assert load_solution(out).f.n == 64
 
 
 @pytest.mark.parametrize("flag", ["--max-outer", "--max-inner"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beltrami_lab.errors import NotContractive, SupportTooLarge
+from beltrami_lab.errors import MaxIterations, NotContractive, SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
 from beltrami_lab.linear_solver import (
     LinearProblem,
@@ -72,8 +72,7 @@ def test_solve_linear_takes_no_numpy_norm(monkeypatch):
         raise AssertionError("np.linalg.norm called during solve_linear")
 
     monkeypatch.setattr(np.linalg, "norm", no_norm)
-    sol = solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L))
-    assert sol.trace.converged
+    solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L))
 
 
 def undo_normalization(sol):
@@ -189,13 +188,21 @@ def test_problem_and_transforms_share_support_rule():
         assert verdicts == [accepted, accepted], name
 
 
+def test_max_inner_caps_the_picard_steps():
+    prob = constant_disk_problem(0.5, n=64)
+    steps = solve_linear(prob, SolverConfig(grid_n=64, box=L)).trace.steps
+    assert steps > 2
+    capped = solve_linear(prob, SolverConfig(grid_n=64, box=L, max_inner=steps))
+    assert capped.trace.steps == len(capped.trace.update_norms) == steps
+    with pytest.raises(MaxIterations, match=f"no convergence in {steps - 1} Picard steps"):
+        solve_linear(prob, SolverConfig(grid_n=64, box=L, max_inner=steps - 1))
+
+
 def test_archive_round_trip(tmp_path):
-    sol = solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L),
-                       label="constant-disk-0.5")
+    sol = solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L))
     out = save_solution(sol, tmp_path / "archive")
     loaded = load_solution(out)
     np.testing.assert_array_equal(loaded.f.data, sol.f.data)
     np.testing.assert_array_equal(loaded.fzbar.data, sol.fzbar.data)
-    assert loaded.label == sol.label
     assert loaded.normalization.scale == sol.normalization.scale
     assert loaded.trace.steps == sol.trace.steps

@@ -10,7 +10,7 @@ from beltrami_lab.coefficients import (
     parse_coefficient_expr,
 )
 from beltrami_lab.dilatation import elliptic_mask
-from beltrami_lab.errors import NotInvertible
+from beltrami_lab.errors import EmptyCompact, NotInvertible
 from beltrami_lab.grid import coordinates, from_function, l2_norm
 from beltrami_lab.linear_solver import IterationTrace, Normalization, Solution
 from beltrami_lab.quasilinear import SolverConfig
@@ -29,7 +29,7 @@ from beltrami_lab.verify import (
 L, N = 2.0, 128
 
 
-def make_solution(fn, fz_fn=None, fzbar_fn=None, n=N, support_radius=1.0):
+def make_solution(fn, fz_fn=None, fzbar_fn=None, n=N):
     """Wrap analytic f (and optional analytic derivatives) as a Solution."""
     f = from_function(L, n, fn)
     if fz_fn is None or fzbar_fn is None:
@@ -40,9 +40,8 @@ def make_solution(fn, fz_fn=None, fzbar_fn=None, n=N, support_radius=1.0):
         fz = from_function(L, n, fz_fn)
         fzbar = from_function(L, n, fzbar_fn)
     return Solution(
-        f=f, fz=fz, fzbar=fzbar, rung=0, trace=IterationTrace(),
+        f=f, fz=fz, fzbar=fzbar, trace=IterationTrace(),
         normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
-        support_radius=support_radius, label="synthetic",
     )
 
 
@@ -97,9 +96,8 @@ def test_residual_corrupted_solution_flagged():
     field = from_function(L, 256, f)
     pair = derivatives(field, method="fd")
     sol = Solution(
-        f=field, fz=pair.fz, fzbar=pair.fzbar, rung=0, trace=IterationTrace(),
+        f=field, fz=pair.fz, fzbar=pair.fzbar, trace=IterationTrace(),
         normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
-        support_radius=1.0,
     )
     _, norms = residual(sol, builtin_catalog("constant-disk", [0.5]))
     assert norms["l2_rel"] > 1e-1
@@ -157,13 +155,13 @@ def test_grid_sampling_reads_only_support_samples(monkeypatch):
 
 def test_jacobian_stats_identity():
     sol = make_solution(lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
-    stats = jacobian_stats(sol)
+    stats = jacobian_stats(sol, zero_spec())
     assert stats["min"] == pytest.approx(1.0)
     assert stats["fraction_nonpositive"] == 0.0
 
 
 def test_jacobian_stats_affine():
-    stats = jacobian_stats(affine_solution(0.5))
+    stats = jacobian_stats(affine_solution(0.5), zero_spec())
     assert stats["min"] == pytest.approx(0.75)
     assert stats["fraction_nonpositive"] == 0.0
 
@@ -171,7 +169,7 @@ def test_jacobian_stats_affine():
 def test_jacobian_stats_orientation_reversing():
     sol = make_solution(lambda z: np.conj(z), lambda z: np.zeros_like(z),
                         lambda z: np.ones_like(z))
-    stats = jacobian_stats(sol)
+    stats = jacobian_stats(sol, zero_spec())
     assert stats["fraction_nonpositive"] == 1.0
 
 
@@ -237,7 +235,7 @@ def test_inverse_audit_affine_oracle():
     # g = f^{-1} of f = z + 0.5 conj(z): |g_w| = 1/(1-k^2), |g_wb| = k/(1-k^2),
     # K_{I,2}(g) = (1+k)/(1-k) = 3 uniformly
     sol = affine_solution(0.5, n=256)
-    out = inverse_dilatation_audit(sol, p=2.0)
+    out = inverse_dilatation_audit(sol, zero_spec(), p=2.0)
     assert out["located_fraction"] > 0.99
     assert out["mean_KIp"] == pytest.approx(3.0, rel=1e-3)
     assert out["max_KIp"] == pytest.approx(3.0, rel=1e-3)
@@ -246,7 +244,7 @@ def test_inverse_audit_affine_oracle():
 
 def test_inverse_audit_p2_equals_map_dilatation_integral():
     sol = affine_solution(0.5, n=256)
-    out = inverse_dilatation_audit(sol, p=1.5)
+    out = inverse_dilatation_audit(sol, zero_spec(), p=1.5)
     # K_{I,1.5} = K_{I,2} * d^{0.5} with d = |g_w| - |g_wb| = (1-k)/(1-k^2) = 2/3
     d = (1 - 0.5) / (1 - 0.25)
     assert out["mean_KIp"] == pytest.approx(3.0 * d**0.5, rel=1e-3)
@@ -256,17 +254,29 @@ def test_inverse_audit_p2_equals_map_dilatation_integral():
 def test_inverse_audit_rejects_non_injective():
     sol = make_solution(lambda z: z * z)
     with pytest.raises(NotInvertible):
-        inverse_dilatation_audit(sol, p=2.0)
+        inverse_dilatation_audit(sol, zero_spec(), p=2.0)
 
 
 def test_inverse_audit_order_range():
     with pytest.raises(ValueError):
-        inverse_dilatation_audit(affine_solution(0.5), p=3.0)
+        inverse_dilatation_audit(affine_solution(0.5), zero_spec(), p=3.0)
 
 
 def test_inverse_audit_takes_callers_injectivity_result():
     with pytest.raises(NotInvertible):
-        inverse_dilatation_audit(affine_solution(0.5), p=2.0, injectivity={"passed": False})
+        inverse_dilatation_audit(affine_solution(0.5), zero_spec(), p=2.0,
+                                 injectivity={"passed": False})
+
+
+def test_inverse_audit_builds_no_full_triangle_list(monkeypatch):
+    # _locate reads the masked triangles off the grid; _triangles stays the
+    # tests' reference only
+    def refuse(solution):
+        raise AssertionError("the inverse audit concatenated every triangle")
+
+    monkeypatch.setattr(verify, "_triangles", refuse)
+    out = inverse_dilatation_audit(affine_solution(0.5), zero_spec(), p=2.0)
+    assert out["mean_KIp"] == pytest.approx(3.0, rel=1e-3)
 
 
 def lattice(w_half, image_n):
@@ -361,20 +371,26 @@ def test_verification_report_runs_injectivity_once(monkeypatch):
 
 def test_continuity_fit_identity_finite():
     sol = make_solution(lambda z: z)
-    out = continuity_modulus_fit(sol, q_l1_norm=2 * np.pi, margin=0.5)
+    out = continuity_modulus_fit(sol, zero_spec(), q_l1_norm=2 * np.pi, margin=0.5)
     assert np.isfinite(out["C"]) and out["C"] > 0
 
 
 def test_continuity_fit_affine_close_to_identity():
-    ident = continuity_modulus_fit(make_solution(lambda z: z), 2 * np.pi, 0.5)
-    affine = continuity_modulus_fit(affine_solution(0.5), 2 * np.pi, 0.5)
+    ident = continuity_modulus_fit(make_solution(lambda z: z), zero_spec(), 2 * np.pi, 0.5)
+    affine = continuity_modulus_fit(affine_solution(0.5), zero_spec(), 2 * np.pi, 0.5)
     assert affine["C"] <= 2.0 * ident["C"]        # bi-Lipschitz with constant 1.5
+
+
+def test_continuity_fit_reads_the_spec_support():
+    small = CoefficientSpec(mu_expr=parse_coefficient_expr("0"), support_radius=0.4)
+    with pytest.raises(EmptyCompact):
+        continuity_modulus_fit(affine_solution(0.5), small, 2 * np.pi, margin=0.5)
 
 
 def test_continuity_fit_monotone_under_compact_shrinkage():
     sol = affine_solution(0.5)
-    wide = continuity_modulus_fit(sol, 2 * np.pi, margin=0.4)
-    narrow = continuity_modulus_fit(sol, 2 * np.pi, margin=0.6)
+    wide = continuity_modulus_fit(sol, zero_spec(), 2 * np.pi, margin=0.4)
+    narrow = continuity_modulus_fit(sol, zero_spec(), 2 * np.pi, margin=0.6)
     assert narrow["C"] <= 1.1 * wide["C"]
 
 
