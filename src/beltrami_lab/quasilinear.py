@@ -8,7 +8,10 @@ solver runs; the outer loop repeats until the sup-norm update on the
 largest tracked compact stalls below tolerance. Rungs warm-start from
 the previous limit, and the ladder stops once consecutive rung
 solutions are Cauchy on every tracked compact (the computable surrogate
-for locally uniform convergence of the truncated solutions).
+for locally uniform convergence of the truncated solutions). A rung
+that follows a rung stopped at "tol" and samples exactly that rung's
+last solved coefficients, as a w-independent coefficient does once the
+rungs exceed its K, keeps the solution and makes no solve.
 
 The inner solves are inexact (the forcing-term rule of Dembo, Eisenstat
 and Steihaug, SIAM J. Numer. Anal. 1982). A rung's first solve starts
@@ -86,7 +89,7 @@ class LadderReport:
                 "rung": rung,
                 "outer_steps": outer_steps,
                 "picard_steps": sum(picard_steps),
-                "picard_steps_max": max(picard_steps),
+                "picard_steps_max": max(picard_steps, default=0),
                 "residual": linear_residual,
                 "d": list(distances),
                 "stop": stop,
@@ -151,7 +154,9 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     Each rung ends its outer loop at exactly one stop, recorded in the
     report: "tol" (the sup update fell below outer_tol, or the frozen
     coefficients repeated, so the next solve would too), "stalled" (no
-    progress even at the smallest damping) or "max_outer". The ladder
+    progress even at the smallest damping) or "max_outer". The repeat
+    check carries across a rung boundary only after a "tol" stop; a rung
+    that repeats at once reports no outer or Picard steps. The ladder
     converged when consecutive rungs are Cauchy, every rung stopped at
     "tol" and the untruncated residual is within residual_tol.
     """
@@ -163,6 +168,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     solution = None
     prev_rung_f = None
     cauchy = False
+    prev_mu = prev_nu = None  # the last solved coefficients
     for rung in cfg.ladder:
         k_bound = rung_bound(rung)
         lam = 1.0
@@ -170,7 +176,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         best_update = np.inf
         outer_steps = 0
         picard_steps = []
-        prev_mu = prev_nu = None
+        solve_tol = cfg.inner_tol  # a rung that repeats at once has nothing to continue
         for _ in range(cfg.max_outer):
             mu, nu = frozen_coefficient_fields(spec, f_current, rung, q=cfg.q_majorant)
             if prev_mu is not None and np.array_equal(mu.data, prev_mu.data) and np.array_equal(
@@ -229,6 +235,8 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         )
         report.add_rung(rung, outer_steps, picard_steps, solution.residual_l2_rel, distances,
                         stop)
+        if stop != "tol":
+            prev_mu = prev_nu = None  # only a settled rung's coefficients carry over
         report.final_rung = rung
         prev_rung_f = f_current
         if not np.isnan(distances[0]) and max(distances) < cfg.ladder_tol:

@@ -30,9 +30,10 @@ outside (verified against direct quadrature of the Cauchy integral).
 The FFTs are scipy.fft's. Every transform call checks the support of
 its input, and the forward FFT's first pass (along rows) runs only over
 the band of rows that hold a nonzero sample; the remaining rows are
-zero and transform to zero. The T/S multipliers and the d/dbar
-multipliers of `derivatives` are cached apart per (L, n), so a solve
-builds only the former.
+zero and transform to zero. The check's column maxima are taken over
+that band only. The T/S multipliers and the d/dbar multipliers of
+`derivatives` are cached apart per (L, n), so a solve builds only the
+former.
 """
 
 from __future__ import annotations
@@ -110,33 +111,38 @@ def _check_support(data: np.ndarray, L: float):
     """Support extent of the samples on [-L, L]^2 must not exceed half the box side.
 
     The extent counts rows and columns holding a sample above
-    SUPPORT_EPS times the peak. Returns the band (j0, j1) of rows
-    data[j0:j1] outside which every sample is exactly zero.
+    SUPPORT_EPS times the peak. Returns the slices (rows, cols) of the
+    box data[rows, cols] outside which every sample is exactly zero;
+    the column maxima are taken over the nonzero rows only, since every
+    other row is zero.
     """
     mag = np.abs(data)
     rows = mag.max(axis=1)
     peak = rows.max()
     if peak == 0.0:
-        return 0, 0
+        return slice(0, 0), slice(0, 0)
+    band = np.flatnonzero(rows)
+    j0, j1 = int(band[0]), int(band[-1]) + 1
+    cols = mag[j0:j1].max(axis=0)
     thresh = SUPPORT_EPS * peak
     jj = np.flatnonzero(rows > thresh)
-    kk = np.flatnonzero(mag.max(axis=0) > thresh)
+    kk = np.flatnonzero(cols > thresh)
     h = 2.0 * L / data.shape[0]
     extent = h * max(kk[-1] - kk[0], jj[-1] - jj[0])
     if extent > L + h / 2:
         raise SupportTooLarge(
             f"support extent {extent:.3g} exceeds half the box side {L:.3g}; enlarge the box"
         )
-    band = np.flatnonzero(rows)
-    return int(band[0]), int(band[-1]) + 1
+    box_cols = np.flatnonzero(cols)
+    return slice(j0, j1), slice(int(box_cols[0]), int(box_cols[-1]) + 1)
 
 
 def _slug_carried(omega: GridField, which: int) -> np.ndarray:
     """T omega (which=0) or S omega (which=1) as samples: P(omega) + c R."""
-    j0, j1 = _check_support(omega.data, omega.L)
+    rows, _ = _check_support(omega.data, omega.L)
     n = omega.n
     spec = np.zeros((n, n), dtype=complex)
-    spec[j0:j1] = fft.fft(omega.data[j0:j1], axis=1)
+    spec[rows] = fft.fft(omega.data[rows], axis=1)
     spec = fft.fft(spec, axis=0, overwrite_x=True)
     R_T, R_S, per_mass = _slug(omega.L, n)
     c = spec[0, 0] * omega.h**2 * per_mass  # the zero frequency is the mass

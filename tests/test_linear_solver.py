@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from beltrami_lab.coefficients import rung_bound, truncate
 from beltrami_lab.errors import MaxIterations, NotContractive, SupportTooLarge
-from beltrami_lab.grid import GridField, coordinates, from_function, zeros
+from beltrami_lab.grid import GridField, coordinates, from_function, l2_norm, zeros
 from beltrami_lab.linear_solver import (
     LinearProblem,
     load_solution,
@@ -52,19 +53,57 @@ def test_picard_first_step_is_mu():
 
 
 def test_picard_step_matches_full_grid_formula():
-    # an off-centre support, so the band is not the middle rows
-    chi = (np.abs(coordinates(L, 64) - (0.5 + 0.3j)) < 0.45).astype(complex)
-    prob = LinearProblem(mu=GridField(L, 0.4 * chi), nu=GridField(L, 0.3j * chi), k_bound=0.7)
-    j0, j1 = prob.band
-    assert np.any(chi[j0]) and np.any(chi[j1 - 1])
-    assert not np.any(chi[:j0]) and not np.any(chi[j1:])
+    # off-centre supports with complex mu and nu != 0: a disk, so the band
+    # is not the middle rows, and a rectangle, whose box is much narrower
+    # than its row band
+    Z = coordinates(L, 64)
+    supports = {
+        "disk": np.abs(Z - (0.5 + 0.3j)) < 0.45,
+        "rectangle": (np.abs(Z.real + 0.9) < 0.3) & (np.abs(Z.imag - 0.4) < 0.5),
+    }
     rng = np.random.default_rng(3)
-    omega = GridField(L, (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * chi)
-    dfz = 1.0 + beurling_transform(omega).data
-    full = prob.mu.data * dfz + prob.nu.data * np.conj(dfz)
-    out = picard_step(omega, prob).data
-    assert np.array_equal(out, full)
-    assert np.all(out[:j0] == 0) and np.all(out[j1:] == 0)
+    for name, inside in supports.items():
+        chi = inside.astype(complex)
+        prob = LinearProblem(mu=GridField(L, (0.3 + 0.2j) * chi), nu=GridField(L, 0.3j * chi),
+                             k_bound=0.7)
+        jj, kk = np.nonzero(inside)
+        assert prob.box == (slice(jj.min(), jj.max() + 1), slice(kk.min(), kk.max() + 1)), name
+        omega = GridField(L, (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * chi)
+        dfz = 1.0 + beurling_transform(omega).data
+        full = prob.mu.data * dfz + prob.nu.data * np.conj(dfz)
+        out = picard_step(omega, prob).data
+        assert np.array_equal(out, full), name
+        outside = np.ones(out.shape, dtype=bool)
+        outside[prob.box] = False
+        assert np.all(out[outside] == 0), name
+    rows, cols = prob.box  # the rectangle's
+    assert cols.stop - cols.start < 16 and rows.stop - rows.start > cols.stop - cols.start
+
+
+def test_warm_first_update_reads_the_whole_grid():
+    # omega0 has a sample on the unit circle, just outside the box of the
+    # open disk's coefficients; the first update must see it
+    prob = constant_disk_problem(0.5, n=64)
+    omega0 = 0.5 * disk_indicator(64)
+    omega0[48, 32] = 1.0
+    assert prob.box[0].stop == 48
+    cfg = SolverConfig(grid_n=64, box=L)
+    sol = solve_linear(prob, cfg, omega0=omega0)
+    omega1 = picard_step(GridField(L, omega0), prob).data
+    h = 2 * L / 64
+    assert sol.trace.update_norms[0] == l2_norm(omega1 - omega0) * h
+    assert sol.trace.update_norms[0] > l2_norm(omega1[prob.box] - omega0[prob.box]) * h
+
+
+def test_fully_truncated_problem_has_an_empty_box():
+    chi = disk_indicator(64)
+    mu, nu = truncate(0.5 * chi, np.zeros_like(chi), 2)  # K = 3 > 2 everywhere
+    prob = LinearProblem(mu=GridField(L, mu), nu=GridField(L, nu), k_bound=rung_bound(2))
+    assert prob.box == (slice(0, 0), slice(0, 0))
+    sol = solve_linear(prob, SolverConfig(grid_n=64, box=L))
+    assert sol.trace.update_norms == [0.0]
+    assert sol.residual_l2_rel == 0.0
+    np.testing.assert_allclose(sol.f.data, coordinates(L, 64), atol=1e-12)
 
 
 def test_solve_linear_takes_no_numpy_norm(monkeypatch):

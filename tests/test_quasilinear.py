@@ -117,15 +117,21 @@ def test_w_independent_spec_reduces_to_linear():
     spec = builtin_catalog("constant-disk", [0.5])
     cfg = SolverConfig(grid_n=128, box=L, ladder=(2, 4, 8))
     sol, report = solve_quasilinear(spec, cfg)
-    # rung 2 truncates everything (K = 3 > 2); rungs 4 and 8 see the full
-    # coefficient, and the outer loop stabilises after one solve
-    assert report.rungs[-1]["outer_steps"] <= 2
+    # rung 2 truncates everything (K = 3 > 2); rung 4 sees the full
+    # coefficient and stabilises after one solve; rung 8 samples the same
+    # coefficients, so it keeps rung 4's solution and makes no solve
+    assert repeated_rung_row(report.rungs[-1]) == (0, 0, 0, "tol", [0.0, 0.0, 0.0])
     assert report.ladder_converged
     # support-radius semantics: coefficients vanish outside |z| <= 1
     chi = (np.abs(coordinates(L, 128)) <= 1).astype(complex)
     prob = LinearProblem(mu=GridField(L, 0.5 * chi), nu=zeros(L, 128), k_bound=0.5)
     direct = solve_linear(prob, cfg)
     np.testing.assert_array_equal(sol.f.data, direct.f.data)
+
+
+def repeated_rung_row(row):
+    return (row["outer_steps"], row["picard_steps"], row["picard_steps_max"], row["stop"],
+            row["d"])
 
 
 def test_toy_w_dependent_outer_contraction():
@@ -329,3 +335,47 @@ def test_ladder_picard_counts_match_picard_steps(monkeypatch):
     assert per_bound == {rung_bound(row["rung"]): row["picard_steps"] for row in report.rungs}
     for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
         assert row["picard_steps_max"] == max(c[3].trace.steps for c in solves)
+
+
+# ---------------------------------------------------------------------------
+# a rung that repeats the last solved coefficients
+
+def test_repeated_rung_makes_no_solve(monkeypatch):
+    calls = spy_solves(monkeypatch)
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4, 8))
+    _, report = solve_quasilinear(builtin_catalog("constant-disk", [0.5]), cfg)
+    assert [len(solves) for solves in solves_by_rung(calls, report)] == [1, 1, 0]
+    assert repeated_rung_row(report.rungs[-1]) == (0, 0, 0, "tol", [0.0, 0.0, 0.0])
+    assert report.ladder_converged
+
+
+def test_rung_after_a_capped_rung_is_solved_again(monkeypatch):
+    # rung 4 stops at max_outer before it can see its coefficients repeat,
+    # so rung 8 must not take its solution as settled: it solves again,
+    # and only then does its zero update stop it at tol
+    calls = spy_solves(monkeypatch)
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(4, 8), max_outer=1)
+    _, report = solve_quasilinear(builtin_catalog("constant-disk", [0.5]), cfg)
+    assert [(row["outer_steps"], row["stop"]) for row in report.rungs] == [
+        (1, "max_outer"), (1, "tol")]
+    assert [len(solves) for solves in solves_by_rung(calls, report)] == [1, 1]
+    assert not report.ladder_converged
+
+
+def test_repeated_rung_runs_no_stale_continuation(monkeypatch):
+    # rung 4 samples k = 0.3 once and k = 0.5 after that, so it ends with a
+    # loose warm solve and its continuation; rung 8 repeats k = 0.5 and must
+    # not continue rung 4's last solve a second time
+    real = quasilinear.frozen_coefficient_fields
+    first = [builtin_catalog("constant-disk", [0.3])]
+
+    def switching(spec, f, rung, q=None):
+        return real(first.pop() if first else spec, f, rung, q)
+
+    monkeypatch.setattr(quasilinear, "frozen_coefficient_fields", switching)
+    calls = spy_solves(monkeypatch)
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(4, 8))
+    _, report = solve_quasilinear(builtin_catalog("constant-disk", [0.5]), cfg)
+    assert [len(solves) for solves in solves_by_rung(calls, report)] == [3, 0]
+    assert calls[1][2] > cfg.inner_tol  # the warm solve ran loose
+    assert repeated_rung_row(report.rungs[1]) == (0, 0, 0, "tol", [0.0, 0.0, 0.0])

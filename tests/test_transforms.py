@@ -191,13 +191,16 @@ def test_transforms_match_full_grid_slug_formula(support, n):
 
 def test_support_band_keeps_faint_rows():
     # a sample below the extent threshold passes the support rule but is
-    # still transformed: the band covers every row with a nonzero sample
+    # still transformed: the band covers every row with a nonzero sample,
+    # and the box's column range every such column
     data = (np.abs(coordinates(L, 64)) < 0.9).astype(complex)
-    j0, j1 = _check_support(data, L)
-    assert np.any(data[j0]) and np.any(data[j1 - 1]) and j1 - j0 < 64
+    rows, cols = _check_support(data, L)
+    assert np.any(data[rows.start]) and np.any(data[rows.stop - 1]) and rows.stop - rows.start < 64
+    assert np.any(data[:, cols.start]) and np.any(data[:, cols.stop - 1])
+    assert cols.stop - cols.start < 64
     data[1, 5] = 1e-20
-    assert _check_support(data, L) == (1, j1)
-    assert _check_support(np.zeros((64, 64)), L) == (0, 0)
+    assert _check_support(data, L) == (slice(1, rows.stop), slice(5, cols.stop))
+    assert _check_support(np.zeros((64, 64)), L) == (slice(0, 0), slice(0, 0))
 
 
 def smooth_mean_zero_bump(n):
