@@ -3,9 +3,11 @@
 Exit codes: 0 completed, 1 usage, configuration or solver error, 2 majorant
 bound violated (with witness), 3 run completed but flagged (the ladder
 ended before its rungs were Cauchy, the untruncated residual exceeds
-residual_tol, or a rung stopped stalled or at max_outer). Reports are JSON with sorted
-keys, evidence ladders as CSV, grids in the BLGF binary format;
-identical configurations produce byte-identical reports.
+residual_tol, or a rung stopped stalled or at max_outer). Reports are
+standard JSON (linear_solver._write_json): sorted keys, complex numbers as
+[re, im]; a non-finite number is null in ladder.json and conditions.json
+and an exit 1 elsewhere. Evidence ladders are CSV, grids the BLGF binary
+format; identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import coefficients, conditions, verify
 from .coefficients import CATALOG, builtin_catalog, load_spec_file, spec_from_dict, spec_to_dict
 from .dilatation import tangential_dilatation
 from .errors import BeltramiLabError, BoundViolation, ConfigError
-from .linear_solver import save_solution
+from .linear_solver import _write_json, save_solution
 from .quasilinear import SolverConfig, solve_quasilinear
 
 
@@ -78,15 +80,10 @@ def _outdir(args, default):
     return out
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
 def _save_archive(solution, report, spec, out):
     """The solution archive with its spec, plus ladder.json."""
     save_solution(solution, out, extra_meta={"spec": spec_to_dict(spec)})
-    report.to_json(out / "ladder.json")
+    _write_json(report, out / "ladder.json", nulls=True)
 
 
 def _write_ladder_csv(report, path):
@@ -112,7 +109,7 @@ def cmd_analyze(args):
     Q = conditions.parse_majorant(args.Q)
     q1 = conditions.parse_majorant(args.Q1)
     report = conditions.audit_theorem1(spec, Q, q1, args.z0, w_max=args.w_max)
-    _write_json(report.to_dict(), out / "conditions.json")
+    _write_json(report, out / "conditions.json", nulls=True)
     for i, probe in enumerate(report.probes):
         _write_ladder_csv(probe.divergence, out / f"divergence-probe{i}.csv")
     print(f"bound check: max K - Q = {report.max_k_minus_q:.3g}, "
@@ -145,8 +142,7 @@ def cmd_verify(args):
     src = Path(args.archive)
     out = _outdir(args, src)
     solution = load_solution(src)
-    with open(src / "meta.json") as fh:
-        meta = json.load(fh)
+    meta = json.loads((src / "meta.json").read_text())
     if args.spec:
         spec = _resolve_spec(args.spec)
     elif "spec" in meta:
@@ -154,7 +150,7 @@ def cmd_verify(args):
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
     report = verify.verification_report(solution, spec, heatmaps=out if args.heatmaps else None)
-    report.to_json(out / "verification.json")
+    _write_json(report, out / "verification.json")
     print(f"residual {report.residual_l2_rel:.3e} "
           f"(sup {report.residual_sup:.3e}, degenerate samples {report.degenerate_samples})")
     print(f"jacobian min {report.jacobian['min']:.3e}, "

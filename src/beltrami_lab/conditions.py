@@ -13,7 +13,7 @@ more do not.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -298,12 +298,6 @@ class ConditionReport:
     max_k_minus_q: float
     max_kt_minus_q1: float
     probes: list = field(default_factory=list)
-
-    def to_dict(self):
-        payload = asdict(self)
-        for probe in payload["probes"]:
-            probe["z0"] = [probe["z0"].real, probe["z0"].imag]
-        return payload
 
 
 def _w_samples(w_max: float):

@@ -58,7 +58,7 @@ class DegenerateNormalization(BeltramiLabError):
     """|f(1) - f(0)| too small to pin the normalization scale."""
 
 
-class EmptyCompact(BeltramiLabError):
+class EmptyCompact(BeltramiLabError, ValueError):
     """Compact-set margin leaves no grid samples."""
 
 

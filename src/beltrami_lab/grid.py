@@ -107,13 +107,6 @@ class GridField:
             fh.write(struct.pack("<d", self.L))
             fh.write(self.data.astype("<c16").tobytes(order="C"))
 
-    def to_csv(self, path):
-        Z = self.z
-        cols = np.column_stack(
-            [Z.real.ravel(), Z.imag.ravel(), self.data.real.ravel(), self.data.imag.ravel()]
-        )
-        np.savetxt(path, cols, delimiter=",", header="x,y,re,im", comments="")
-
 
 def zeros(L: float, n: int) -> GridField:
     return GridField(L, np.zeros((n, n), dtype=complex))

@@ -24,7 +24,8 @@ coefficient's label and support radius, and the ladder report the rung.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,34 @@ def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# solution archives
+# solution archives, and the one JSON writer: every report file goes
+# through _write_json, so the format is fixed here
+
+def _jsonable(value, nulls, where):
+    """Dataclasses as dicts, tuples as lists, complex numbers as [re, im].
+    A non-finite float is null if nulls, else a ValueError naming where it is."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _jsonable(item, nulls, f"{where}/{key}") for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item, nulls, f"{where}/{i}") for i, item in enumerate(value)]
+    if isinstance(value, complex):
+        return [_jsonable(part, nulls, where) for part in (value.real, value.imag)]
+    if isinstance(value, float) and not math.isfinite(value):
+        if nulls:
+            return None
+        raise ValueError(f"{where} is {value}, which JSON cannot hold")
+    return value
+
+
+def _write_json(report, path, nulls=False):
+    """Write report as standard JSON (RFC 8259) with indent 2 and sorted keys.
+    A value JSON has no form for raises; none is written as a string."""
+    payload = _jsonable(report, nulls, Path(path).name)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+
 
 def save_solution(sol: Solution, outdir, extra_meta=None):
     """Write the f/fz/fzbar grids, whose headers hold box and size, and
@@ -209,25 +237,18 @@ def save_solution(sol: Solution, outdir, extra_meta=None):
     sol.fzbar.save(out / "fzbar.blgf")
     meta = {
         "residual_l2_rel": sol.residual_l2_rel,
-        "normalization": {
-            "translation": [sol.normalization.translation.real, sol.normalization.translation.imag],
-            "scale": sol.normalization.scale,
-            "arg_f1": sol.normalization.arg_f1,
-        },
-        "trace": asdict(sol.trace),
+        "normalization": sol.normalization,
+        "trace": sol.trace,
+        **(extra_meta or {}),
     }
-    if extra_meta:
-        meta.update(extra_meta)
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    _write_json(meta, out / "meta.json")
     return out
 
 
 def load_solution(indir) -> Solution:
     """Read an archive; keys it does not read (older archives carry more) are ignored."""
     src = Path(indir)
-    with open(src / "meta.json") as fh:
-        meta = json.load(fh)
+    meta = json.loads((src / "meta.json").read_text())
     nm = meta["normalization"]
     norm = Normalization(complex(*nm["translation"]), nm["scale"], nm["arg_f1"])
     return Solution(

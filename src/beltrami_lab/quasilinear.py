@@ -24,8 +24,7 @@ rung's solution meets inner_tol.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +69,7 @@ class SolverConfig:
         margins = list(self.compact_margins)
         if not margins or margins != sorted(margins, reverse=True) or margins[-1] <= 0:
             raise ValueError("compact_margins must be non-empty, decreasing and positive")
+        _check_margin(margins[0], self.box)
 
 
 @dataclass
@@ -96,15 +96,15 @@ class LadderReport:
             }
         )
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+
+def _check_margin(margin: float, L: float):
+    if margin >= L:
+        raise EmptyCompact(f"compact_margins: margin {margin} >= box half-side {L}")
 
 
 def compact_mask(L: float, n: int, margin: float) -> np.ndarray:
     """Samples at distance >= margin from the box boundary."""
-    if margin >= L:
-        raise EmptyCompact(f"margin {margin} >= box half-side {L}")
+    _check_margin(margin, L)
     Z = coordinates(L, n)
     return np.maximum(np.abs(Z.real), np.abs(Z.imag)) <= L - margin
 
@@ -163,7 +163,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     L, n = cfg.box, cfg.grid_n
     _check_uniform_ellipticity(spec, L, n)
     report = LadderReport(margins=tuple(cfg.compact_margins))
-    largest_margin = min(cfg.compact_margins)
+    smallest_margin = min(cfg.compact_margins)  # the largest compact
     f_current = GridField(L, coordinates(L, n).copy())
     solution = None
     prev_rung_f = None
@@ -196,7 +196,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             solution = solve_linear(prob, cfg, omega0=raw_omega(solution) if warm else None,
                                     tol=solve_tol)
             picard_steps.append(solution.trace.steps)
-            update = compact_sup_distance(solution.f, f_current, largest_margin)
+            update = compact_sup_distance(solution.f, f_current, smallest_margin)
             # truncation-boundary cells can flip between steps and lock the
             # iteration into a cycle; damp when no real progress is made
             if update > 0.9 * best_update:

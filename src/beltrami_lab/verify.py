@@ -11,7 +11,6 @@ support radius; a Solution carries none.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -295,10 +294,6 @@ class VerificationReport:
     injectivity: dict
     inverse: dict = field(default_factory=dict)
     continuity: dict = field(default_factory=dict)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True, default=str)
 
 
 def verification_report(solution: Solution, spec: CoefficientSpec, q_l1_norm: float = None,

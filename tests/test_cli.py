@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import beltrami_lab
-from beltrami_lab import verify
+from beltrami_lab import quasilinear, verify
 from beltrami_lab.cli import main
 from beltrami_lab.coefficients import builtin_catalog
 from beltrami_lab.dilatation import jacobian
@@ -393,3 +394,93 @@ def test_example_archive_has_the_solve_meta_keys(tmp_path):
     solve = json.loads((tmp_path / "run" / "meta.json").read_text())
     assert example.keys() == solve.keys()
     assert (tmp_path / "ex" / "solution" / "ladder.json").exists()
+
+
+def _strict(path):
+    """The JSON file at path, parsed with NaN and Infinity refused."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_every_report_is_standard_json_in_one_format(tmp_path):
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    assert run(["verify", "--archive", str(out), "--heatmaps"]) == 0
+    # Q = 1/0 is +inf everywhere, so the largest K - Q is -inf
+    assert run(["analyze", "--spec", "constant-disk:0.5", "--Q", "1/0", "--Q1", "9",
+                "--z0", "0", "0.5+0.1j", "--out", str(tmp_path / "an")]) == 0
+    assert run(["example", "--grid", "32", "--ladder", "2,4",
+                "--out", str(tmp_path / "ex")]) in (0, 3)
+    paths = sorted(tmp_path.rglob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        assert path.read_text() == json.dumps(_strict(path), indent=2, sort_keys=True)
+    assert _strict(out / "ladder.json")["rungs"][0]["d"] == [None, None, None]
+    conditions = _strict(tmp_path / "an" / "conditions.json")
+    assert conditions["max_k_minus_q"] is None
+    assert conditions["probes"][1]["z0"] == [0.5, 0.1]
+
+
+def test_only_the_one_writer_dumps_json(tmp_path, monkeypatch):
+    calls = []
+    dump = json.dump
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("allow_nan"))
+        return dump(*args, **kwargs)
+    monkeypatch.setattr(json, "dump", spy)
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    assert run(["verify", "--archive", str(out)]) == 0
+    assert run(["analyze", "--spec", "constant-disk:0.5", "--Q", "3", "--Q1", "9",
+                "--z0", "0", "--out", str(tmp_path / "an")]) == 0
+    # meta.json, ladder.json, verification.json, conditions.json
+    assert calls == [False] * 4
+
+
+def test_margin_outside_the_box_exits_1_before_any_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+    solve_linear = quasilinear.solve_linear
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return solve_linear(*args, **kwargs)
+    monkeypatch.setattr(quasilinear, "solve_linear", spy)
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--margins", "2.5",
+                "--out", str(tmp_path / "run")]) == 1
+    assert calls == []
+    assert "compact_margins" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda r: r.inverse.update(integral_KIp=float("inf")),
+     "verification.json/inverse/integral_KIp is inf"),
+    (lambda r: setattr(r, "residual_l2_rel", float("nan")),
+     "verification.json/residual_l2_rel is nan"),
+], ids=["inf-KIp", "nan-residual"])
+def test_verify_refuses_a_non_finite_certificate(tmp_path, monkeypatch, capsys, corrupt, message):
+    # a null would read as a finite value to a checker; exit 1 and no file instead
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    report = verify.verification_report
+
+    def folded(*args, **kwargs):
+        result = report(*args, **kwargs)
+        corrupt(result)
+        return result
+    monkeypatch.setattr(verify, "verification_report", folded)
+    capsys.readouterr()
+    assert run(["verify", "--archive", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
+    # so the benchmark's verification check fails too
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look up their module
+    spec.loader.exec_module(workloads)
+    assert workloads.check_verification(out, workloads.WORKLOADS["disk-512"])

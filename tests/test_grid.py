@@ -55,15 +55,6 @@ def test_binary_round_trip(tmp_path):
     assert len(raw) == 16 + 32 * 32 * 16
 
 
-def test_csv_export(tmp_path):
-    f = from_function(1.0, 16, lambda z: z)
-    path = tmp_path / "field.csv"
-    f.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x,y,re,im"
-    assert len(rows) == 1 + 16 * 16
-
-
 def test_bilinear_interp_exact_on_bilinear_data():
     f = from_function(2.0, 32, lambda z: 3 * z.real + 1j * z.imag - 2)
     pts = np.array([0.13 + 0.4j, -1.1 - 0.77j, 0.0j])

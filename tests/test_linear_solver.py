@@ -1,3 +1,6 @@
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from beltrami_lab.errors import MaxIterations, NotContractive, SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, l2_norm, zeros
 from beltrami_lab.linear_solver import (
     LinearProblem,
+    _write_json,
     load_solution,
     normalize_solution,
     picard_step,
@@ -245,3 +249,49 @@ def test_archive_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.fzbar.data, sol.fzbar.data)
     assert loaded.normalization.scale == sol.normalization.scale
     assert loaded.trace.steps == sol.trace.steps
+
+
+@dataclass
+class _Probe:
+    z0: complex
+    window: tuple
+
+
+@dataclass
+class _Report:
+    probe: _Probe
+    values: list
+
+
+def test_write_json_fixes_one_standard_format(tmp_path):
+    report = _Report(_Probe(0.5 - 2j, (1, 2.5)), [np.nan, np.inf, -np.inf, np.float64(0.1)])
+    path = tmp_path / "report.json"
+    _write_json(report, path, nulls=True)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = path.read_text()
+    parsed = json.loads(text, parse_constant=reject)
+    assert parsed == {"probe": {"z0": [0.5, -2.0], "window": [1, 2.5]},
+                      "values": [None, None, None, 0.1]}
+    assert text == json.dumps(parsed, indent=2, sort_keys=True)
+    assert np.isnan(report.values[0])  # the report itself is left as it was
+    # an object JSON cannot hold is refused, not written as its string
+    with pytest.raises(TypeError):
+        _write_json({"x": object()}, tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize("bad, where", [
+    (np.nan, "values/0"), (np.inf, "values/0"), (-np.inf, "values/0"),
+    (complex(1.0, np.inf), "probe/z0"),
+])
+def test_write_json_refuses_a_non_finite_number_without_nulls(tmp_path, bad, where):
+    if isinstance(bad, complex):
+        report = _Report(_Probe(bad, ()), [])
+    else:
+        report = _Report(_Probe(0j, ()), [bad, 1.0])
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=f"^report.json/{where} is "):
+        _write_json(report, path)
+    assert not path.exists()  # refused before the file is opened

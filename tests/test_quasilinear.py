@@ -42,6 +42,11 @@ def test_config_validation():
         SolverConfig(compact_margins=(0.5, 1.0))
 
 
+def test_config_rejects_a_margin_the_box_cannot_hold():
+    with pytest.raises(ValueError, match="compact_margins"):
+        SolverConfig(box=2.0, compact_margins=(2.0, 1.0))
+
+
 @pytest.mark.parametrize("field, value", [
     ("ladder", ()), ("compact_margins", ()), ("max_inner", 0), ("max_outer", 0),
     ("ladder", (0, 2)),
@@ -183,12 +188,15 @@ def test_ladder_report_json(tmp_path):
     spec = builtin_catalog("constant-disk", [0.5])
     _, report = solve_quasilinear(spec, SolverConfig(grid_n=64, box=L, ladder=(2, 4)))
     path = tmp_path / "ladder.json"
-    report.to_json(path)
+    linear_solver._write_json(report, path, nulls=True)
     import json
 
     payload = json.loads(path.read_text())
     assert payload["final_rung"] == 4
     assert [row["rung"] for row in payload["rungs"]] == [2, 4]
+    # the first rung has no distance: NaN in memory, null in the file
+    assert np.isnan(report.rungs[0]["d"]).all()
+    assert payload["rungs"][0]["d"] == [None] * len(report.margins)
 
 
 def test_by_q_with_exact_majorant_matches_by_k():

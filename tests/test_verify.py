@@ -12,7 +12,7 @@ from beltrami_lab.coefficients import (
 from beltrami_lab.dilatation import elliptic_mask
 from beltrami_lab.errors import EmptyCompact, NotInvertible
 from beltrami_lab.grid import coordinates, from_function, l2_norm
-from beltrami_lab.linear_solver import IterationTrace, Normalization, Solution
+from beltrami_lab.linear_solver import IterationTrace, Normalization, Solution, _write_json
 from beltrami_lab.quasilinear import SolverConfig
 from beltrami_lab.transforms import derivatives
 from beltrami_lab.verify import (
@@ -409,7 +409,7 @@ def test_verification_report_and_ppm(tmp_path):
     assert report.injectivity["passed"]
     assert report.inverse["mean_KIp"] == pytest.approx(3.0, rel=0.05)
     assert np.isfinite(report.continuity["C"])
-    report.to_json(tmp_path / "verification.json")
+    _write_json(report, tmp_path / "verification.json")
     assert (tmp_path / "verification.json").exists()
 
     res_field, _ = residual(sol, spec)
