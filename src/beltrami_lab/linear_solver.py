@@ -221,7 +221,9 @@ def _jsonable(value, nulls, where):
 
 def _write_json(report, path, nulls=False):
     """Write report as standard JSON (RFC 8259) with indent 2 and sorted keys.
-    A value JSON has no form for raises; none is written as a string."""
+    A value JSON has no form for raises; none is written as a string, and
+    a file of that name from an earlier run is removed first."""
+    Path(path).unlink(missing_ok=True)
     payload = _jsonable(report, nulls, Path(path).name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)

@@ -27,13 +27,15 @@ isometry to round-off. Sign and normalization are pinned by the two
 oracles dbar T = id and T chi_D = conj(z) inside the unit disk, 1/z
 outside (verified against direct quadrature of the Cauchy integral).
 
-The FFTs are scipy.fft's. Every transform call checks the support of
-its input, and the forward FFT's first pass (along rows) runs only over
-the band of rows that hold a nonzero sample; the remaining rows are
-zero and transform to zero. The check's column maxima are taken over
-that band only. The T/S multipliers and the d/dbar multipliers of
-`derivatives` are cached apart per (L, n), so a solve builds only the
-former.
+The FFTs are numpy.fft's, so a solve or a verify loads no scipy. Each
+transform call makes one spectrum grid and runs every FFT pass in place
+on it (`out=`, numpy >= 2.0); without `out=` each pass allocates a
+fresh grid. Every transform call checks the support of its input, and
+the forward FFT's first pass (along rows) runs only over the band of
+rows that hold a nonzero sample; the remaining rows are zero and
+transform to zero. The check's column maxima are taken over that band
+only. The T/S multipliers and the d/dbar multipliers of `derivatives`
+are cached apart per (L, n), so a solve builds only the former.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 from .errors import SupportTooLarge
 from .grid import DerivativePair, GridField, coordinates
@@ -142,14 +144,15 @@ def _slug_carried(omega: GridField, which: int) -> np.ndarray:
     rows, _ = _check_support(omega.data, omega.L)
     n = omega.n
     spec = np.zeros((n, n), dtype=complex)
-    spec[rows] = fft.fft(omega.data[rows], axis=1)
-    spec = fft.fft(spec, axis=0, overwrite_x=True)
+    fft.fft(omega.data[rows], axis=1, out=spec[rows])
+    fft.fft(spec, axis=0, out=spec)
     R_T, R_S, per_mass = _slug(omega.L, n)
     c = spec[0, 0] * omega.h**2 * per_mass  # the zero frequency is the mass
     spec *= _kernels(omega.L, n)[which]
-    u = fft.ifft2(spec, overwrite_x=True)
-    u += c * (R_T, R_S)[which]
-    return u
+    fft.ifft(spec, axis=0, out=spec)
+    fft.ifft(spec, axis=1, out=spec)
+    spec += c * (R_T, R_S)[which]
+    return spec
 
 
 def cauchy_transform(omega: GridField) -> GridField:

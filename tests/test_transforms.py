@@ -18,6 +18,8 @@ from beltrami_lab.errors import SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
 from beltrami_lab.transforms import (
     _check_support,
+    _kernels,
+    _slug,
     beurling_transform,
     cauchy_transform,
     derivatives,
@@ -201,6 +203,45 @@ def test_support_band_keeps_faint_rows():
     data[1, 5] = 1e-20
     assert _check_support(data, L) == (slice(1, rows.stop), slice(5, cols.stop))
     assert _check_support(np.zeros((64, 64)), L) == (slice(0, 0), slice(0, 0))
+
+
+def off_centre_rectangle(n):
+    z = coordinates(L, n)
+    inside = (z.real > 0.2) & (z.real < 1.1) & (z.imag > -0.9) & (z.imag < -0.3)
+    return random_supported_field(n, lambda _: inside, seed=3)
+
+
+def one_faint_row(n):
+    data = (np.abs(coordinates(L, n)) < 0.9).astype(complex)
+    data[1, n // 2] = 1e-20  # below the extent threshold, inside the band
+    return GridField(L, data)
+
+
+IN_PLACE_FIELDS = {
+    "off-centre rectangle": off_centre_rectangle,
+    "one faint row": one_faint_row,
+    "all zero": lambda n: zeros(L, n),
+}
+
+
+@pytest.mark.parametrize("field", IN_PLACE_FIELDS)
+def test_in_place_passes_leave_inputs_and_caches_alone(field):
+    n = 64
+    omega = IN_PLACE_FIELDS[field](n)
+    kernels, slug = _kernels(L, n), _slug(L, n)
+    before = [a.copy() for a in (omega.data, *kernels, *slug[:2])]
+    c = omega.data.sum() * omega.h**2 * slug[2]
+    omega_hat = np.fft.fft2(omega.data)
+    for which, op in enumerate((cauchy_transform, beurling_transform)):
+        first, second = op(omega).data, op(omega).data
+        ref = np.fft.ifft2(kernels[which] * omega_hat) + c * slug[which]
+        assert np.abs(first - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+    after = (omega.data, *kernels, *slug[:2])
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
+        assert not new.flags.writeable
 
 
 def smooth_mean_zero_bump(n):
