@@ -208,6 +208,17 @@ def parse_expression(text, variables=COEFFICIENT_VARIABLES):
     return node
 
 
+def free_variables(node) -> frozenset:
+    """Names of the variables a tree reads."""
+    if isinstance(node, Var):
+        return frozenset({node.name})
+    if isinstance(node, (Neg, Func)):
+        return free_variables(node.arg)
+    if isinstance(node, BinOp):
+        return free_variables(node.left) | free_variables(node.right)
+    return frozenset()  # a Num
+
+
 # ---------------------------------------------------------------------------
 # printer
 

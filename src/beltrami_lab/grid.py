@@ -47,7 +47,9 @@ def _validate(L, n, data):
         raise ValueError(f"box half-side must be positive, got {L}")
     if data.shape != (n, n):
         raise ValueError(f"data shape {data.shape} does not match n={n}")
-    if not np.all(np.isfinite(data)):
+    # a complex sample is finite exactly when both of its parts are; the
+    # float view checks them about twice as fast as complex isfinite
+    if not np.isfinite(data.view(float)).all():
         raise ValueError("grid samples must all be finite")
 
 

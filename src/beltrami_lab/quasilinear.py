@@ -14,12 +14,15 @@ last solved coefficients, as a w-independent coefficient does once the
 rungs exceed its K, keeps the solution and makes no solve.
 
 The inner solves are inexact (the forcing-term rule of Dembo, Eisenstat
-and Steihaug, SIAM J. Numer. Anal. 1982). A rung's first solve starts
-from omega = 0 at inner_tol; each later one starts from the previous
-solve's raw omega and stops at max(inner_tol, min(1e-4, 0.01 x the last
-outer update)). Whatever the rung's stop, a last solve looser than
-inner_tol is continued from where it ended to inner_tol, so every
-rung's solution meets inner_tol.
+and Steihaug, SIAM J. Numer. Anal. 1982; eta = 0.1 as in Eisenstat and
+Walker, SIAM J. Sci. Comput. 1996). A rung's first solve starts from
+omega = 0; it stops at the cap 1e-3 when mu or nu reads w, and at
+inner_tol otherwise, because a w-independent coefficient's first solve
+is also its last. Each later solve starts from the previous solve's raw
+omega and stops at max(inner_tol, min(1e-3, 0.1 x the last outer
+update)). Whatever the rung's stop, a last solve looser than inner_tol
+is continued from where it ended to inner_tol, so every rung's solution
+meets inner_tol.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ import numpy as np
 from .coefficients import CoefficientSpec, _support_samples, rung_bound, truncate
 from .dilatation import elliptic_mask
 from .errors import EmptyCompact, NotContractive
+from .expressions import free_variables
 from .grid import GridField, coordinates
 from .linear_solver import LinearProblem, raw_omega, solve_linear
 from .verify import residual
 
 _STALL_STREAK = 4
 _MIN_DAMPING = 0.125
-_FORCING_CAP = 1e-4  # loosest inner tolerance of a warm solve
-_FORCING_RATIO = 0.01  # warm inner tolerance per unit of the last outer update
+_FORCING_CAP = 1e-3  # loosest inner tolerance of a solve before the continuation
+_FORCING_RATIO = 0.1  # warm inner tolerance per unit of the last outer update
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,11 @@ def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
         )
 
 
+def _reads_w(spec: CoefficientSpec) -> bool:
+    """Whether mu or nu reads w, so that the frozen coefficients move with the iterate."""
+    return "w" in free_variables(spec.mu_expr) | free_variables(spec.nu_expr)
+
+
 def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     """Run the full ladder; returns (final Solution, LadderReport).
 
@@ -169,6 +178,8 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
     prev_rung_f = None
     cauchy = False
     prev_mu = prev_nu = None  # the last solved coefficients
+    # a w-independent coefficient's first solve is its last: no looser than inner_tol
+    first_tol = max(cfg.inner_tol, _FORCING_CAP) if _reads_w(spec) else cfg.inner_tol
     for rung in cfg.ladder:
         k_bound = rung_bound(rung)
         lam = 1.0
@@ -187,12 +198,12 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             prev_mu, prev_nu = mu, nu
             outer_steps += 1
             prob = LinearProblem(mu=mu, nu=nu, k_bound=k_bound)
-            # the first solve of a rung is cold at inner_tol; later ones start
+            # the first solve of a rung is cold at first_tol; later ones start
             # from the last raw omega and need only beat the last outer update
             # (the forcing term of an inexact fixed-point iteration)
             warm = outer_steps > 1
             solve_tol = (max(cfg.inner_tol, min(_FORCING_CAP, _FORCING_RATIO * update))
-                         if warm else cfg.inner_tol)
+                         if warm else first_tol)
             solution = solve_linear(prob, cfg, omega0=raw_omega(solution) if warm else None,
                                     tol=solve_tol)
             picard_steps.append(solution.trace.steps)

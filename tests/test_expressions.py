@@ -12,6 +12,7 @@ from beltrami_lab.expressions import (
     Var,
     evaluate,
     format_expression,
+    free_variables,
     parse_expression,
     standard_env,
 )
@@ -91,6 +92,19 @@ def test_vectorized_evaluation_matches_scalar():
     vec = evaluate(tree, standard_env(zs, ws))
     for k in range(3):
         assert vec[k] == complex(evaluate(tree, standard_env(zs[k], ws[k])))
+
+
+@pytest.mark.parametrize("text, names", [
+    ("0.5", set()),
+    ("i", set()),
+    ("0.5*exp(i*theta)*r^2", {"theta", "r"}),
+    ("z/(1+abs(w))", {"z", "w"}),
+    ("-re(conj(w))", {"w"}),
+    ("exp(i*8*abs(w)^2)", {"w"}),
+    ("im(z)^sqrt(log(w))", {"z", "w"}),
+])
+def test_free_variables(text, names):
+    assert free_variables(parse_expression(text)) == names
 
 
 # -- round-trip property ----------------------------------------------------

@@ -34,6 +34,17 @@ def test_validation():
         GridField(2.0, bad)
 
 
+@pytest.mark.parametrize("sample", [complex(0.5, np.nan), complex(np.inf, 0.5),
+                                    complex(-np.inf, 0.0), complex(0.0, -np.inf)])
+def test_validation_checks_each_part(sample):
+    # one non-finite part makes the sample non-finite, wherever it lies
+    for index in [(0, 0), (7, 11), (15, 15)]:
+        bad = np.zeros((16, 16), dtype=complex)
+        bad[index] = sample
+        with pytest.raises(ValueError, match="finite"):
+            GridField(2.0, bad)
+
+
 def test_fields_are_immutable():
     f = zeros(2.0, 16)
     with pytest.raises(ValueError):

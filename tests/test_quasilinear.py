@@ -282,8 +282,8 @@ def solves_by_rung(calls, report):
      SolverConfig(grid_n=64, box=L, ladder=(2, 4), max_outer=2)),
 ], ids=["tol", "stalled", "max_outer"])
 def test_rung_solves_start_cold_and_end_at_inner_tol(stop, spec, cfg, monkeypatch):
-    # each case has rungs that end at `stop` after a warm solve looser than
-    # inner_tol, so the rung's solution needs the continuation
+    # each case reads w and has rungs that end at `stop` after a solve looser
+    # than inner_tol, so the rung's solution needs the continuation
     calls = spy_solves(monkeypatch)
     _, report = solve_quasilinear(spec, cfg)
     assert any(row["stop"] == stop for row in report.rungs)
@@ -291,13 +291,45 @@ def test_rung_solves_start_cold_and_end_at_inner_tol(stop, spec, cfg, monkeypatc
         if row["stop"] != stop:
             continue
         _, start, tol, _, _ = solves[0]
-        assert start is None and tol == cfg.inner_tol
+        # cold, and only as tight as the outer loop can use
+        assert start is None and tol == quasilinear._FORCING_CAP
         # a warm solve ran looser than inner_tol, so the rung needed its continuation
         assert any(c[2] > cfg.inner_tol for c in solves)
         _, _, tol, sol, omega_norm = solves[-1]
         assert tol == cfg.inner_tol
         assert sol.trace.update_norms[-1] < cfg.inner_tol * max(1.0, omega_norm)
         assert len(solves) == row["outer_steps"] + 1
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_catalog("radial-power", [0.9, 1]),
+    CoefficientSpec(mu_expr=parse_coefficient_expr("0.3*exp(i*theta)"),
+                    nu_expr=parse_coefficient_expr("0.2*r"), label="w-free"),
+], ids=["radial-power", "mu-and-nu"])
+def test_w_independent_first_solve_is_cold_at_inner_tol(spec, monkeypatch):
+    # the frozen coefficients repeat at once, so the first solve of each rung
+    # is its only one: it runs to inner_tol and nothing is continued
+    calls = spy_solves(monkeypatch)
+    cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4))
+    _, report = solve_quasilinear(spec, cfg)
+    for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
+        assert (row["outer_steps"], row["stop"]) == (1, "tol")
+        [(_, start, tol, _, _)] = solves
+        assert start is None and tol == cfg.inner_tol
+
+
+@pytest.mark.parametrize("mu, nu, reads", [
+    ("0.5", "0", False),
+    ("0.5*exp(i*theta)*r", "0.1*z", False),
+    ("0.5", "0.3*exp(i*abs(w))", True),          # w only in nu
+    ("0.5*exp(i*8*abs(w))", "0", True),
+    ("0.3*conj(w)/(1+r)", "0", True),
+    ("0.4*exp(i*re(w)^2)", "0", True),
+])
+def test_reads_w(mu, nu, reads):
+    spec = CoefficientSpec(mu_expr=parse_coefficient_expr(mu),
+                           nu_expr=parse_coefficient_expr(nu))
+    assert quasilinear._reads_w(spec) is reads
 
 
 def test_warm_solves_halve_the_picard_work(monkeypatch):
@@ -313,7 +345,7 @@ def test_warm_solves_halve_the_picard_work(monkeypatch):
 
 
 def test_loose_warm_solves_skip_the_residual_check():
-    # a warm solve at the 1e-4 cap leaves a residual near 2e-6; only the
+    # a solve at the forcing cap leaves a residual near 7e-5; only the
     # solves run to inner_tol answer to residual_tol
     cfg = SolverConfig(grid_n=32, box=L, residual_tol=1e-6)
     _, report = solve_quasilinear(builtin_catalog("w-damped-disk", [0.5]), cfg)
@@ -323,7 +355,8 @@ def test_loose_warm_solves_skip_the_residual_check():
                                                     GridField(L, coordinates(L, 32)), 4),
                          rung_bound(4))
     strict = replace(cfg, residual_tol=1e-14)
-    assert solve_linear(prob, strict, tol=1e-4).residual_l2_rel > strict.residual_tol
+    loose = solve_linear(prob, strict, tol=quasilinear._FORCING_CAP)
+    assert loose.residual_l2_rel > strict.residual_tol
     with pytest.raises(MaxIterations):
         solve_linear(prob, strict)
 
@@ -343,6 +376,58 @@ def test_ladder_picard_counts_match_picard_steps(monkeypatch):
     assert per_bound == {rung_bound(row["rung"]): row["picard_steps"] for row in report.rungs}
     for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
         assert row["picard_steps_max"] == max(c[3].trace.steps for c in solves)
+
+
+# ---------------------------------------------------------------------------
+# verdicts over a strongly w-dependent family (scripts/w_dependent_scan.py)
+
+W_SCAN = [f"{a}*exp(i*{b}*{g})" for a in (0.3, 0.5, 0.6) for b in (4, 8, 16)
+          for g in ("abs(w)", "re(w)", "im(w)", "abs(w)^2")]
+
+
+@pytest.mark.parametrize("mu", W_SCAN)
+def test_w_scan_verdicts_mean_what_they_say(mu, monkeypatch):
+    # asserts only what a stop and a verdict mean, never how many members
+    # converge, and re-derives each from the solves rather than the labels
+    samplings = []  # (rung, f, mu, nu) of every frozen sampling, in order
+    real = quasilinear.frozen_coefficient_fields
+
+    def sampled(spec, f, rung, q=None):
+        fields = real(spec, f, rung, q)
+        samplings.append((rung, f, *fields))
+        return fields
+
+    monkeypatch.setattr(quasilinear, "frozen_coefficient_fields", sampled)
+    calls = spy_solves(monkeypatch)
+    spec = CoefficientSpec(mu_expr=parse_coefficient_expr(mu))
+    cfg = SolverConfig(grid_n=32, box=L, ladder=(4, 8))
+    sol, report = solve_quasilinear(spec, cfg)
+    # a rung stopped at tol either sampled the coefficients it had just solved
+    # or took its last outer step with an update below outer_tol
+    for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
+        if row["stop"] != "tol":
+            continue
+        steps = row["outer_steps"]
+        indices = [k for k, s in enumerate(samplings) if s[0] == row["rung"]]
+        last = indices[-1]
+        if len(indices) > steps:
+            assert last > 0
+            (_, _, mu_a, nu_a), (_, _, mu_b, nu_b) = samplings[last - 1:last + 1]
+            assert np.array_equal(mu_a.data, mu_b.data) and np.array_equal(nu_a.data, nu_b.data)
+        else:
+            update = compact_sup_distance(solves[steps - 1][3].f, samplings[last][1],
+                                          min(cfg.compact_margins))
+            assert update < cfg.outer_tol
+    if not report.ladder_converged:
+        return
+    assert all(row["stop"] == "tol" for row in report.rungs)
+    assert report.quasi_residual <= cfg.residual_tol
+    # one more frozen-w solve at the final f moves it by less than outer_tol
+    # on every tracked compact
+    rung = report.final_rung
+    again = solve_linear(LinearProblem(*real(spec, sol.f, rung), rung_bound(rung)), cfg)
+    for margin in cfg.compact_margins:
+        assert compact_sup_distance(again.f, sol.f, margin) < cfg.outer_tol
 
 
 # ---------------------------------------------------------------------------
