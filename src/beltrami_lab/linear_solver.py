@@ -10,7 +10,9 @@ ansatz turns the equation into
 a contraction on L2 with factor k = sup(|mu| + |nu|) < 1 because S is an
 isometry, so Picard iteration converges geometrically from any start:
 omega = 0 by default, or a given iterate (the quasilinear outer loop
-passes the previous solve's raw omega). The assembled solution carries
+passes the previous solve's raw omega). Only the first step checks its
+input; later steps run on arrays that vanish outside the coefficients'
+support box, with S formed only on that box. The assembled solution carries
 its derivative grids from the ansatz relations f_z = 1 + S omega,
 f_zbar = omega (spectrally exact), and is normalised to f(0) = 0,
 |f(1)| = 1: translation and positive real scaling preserve the equation
@@ -33,7 +35,7 @@ import numpy as np
 from . import grid
 from .errors import DegenerateNormalization, MaxIterations, NotContractive
 from .grid import GridField, l2_norm
-from .transforms import _check_support, beurling_transform, cauchy_transform
+from .transforms import _check_support, _slug_carried, beurling_transform, cauchy_transform
 
 
 @dataclass(frozen=True)
@@ -105,23 +107,24 @@ class Solution:
     residual_l2_rel: float
 
 
-def picard_step(omega: GridField, prob: LinearProblem) -> GridField:
+def picard_step(omega: GridField | np.ndarray, prob: LinearProblem) -> np.ndarray:
     """One application of omega -> mu (1 + S omega) + nu conj(1 + S omega).
 
-    The products are formed in place on the coefficients' support box
-    only; every other sample is an exact zero, as mu = nu = 0 there.
+    Checked for a GridField omega; an array (a step's output) is not, and S is formed on the box
+    only. The products fill the box in place; the rest is exactly 0, as mu = nu = 0 there.
     """
-    s = beurling_transform(omega)
-    out = np.zeros_like(s.data)
+    s = (beurling_transform(omega).data[prob.box] if isinstance(omega, GridField)
+         else _slug_carried(omega, prob.mu.L, 1, prob.box[0], prob.box))
+    out = np.zeros(prob.mu.data.shape, dtype=complex)
     box = out[prob.box]
-    np.add(s.data[prob.box], 1.0, out=box)  # f_z = 1 + S omega
+    np.add(s, 1.0, out=box)  # f_z = 1 + S omega
     conj_fz = np.conj(box)
     # mu and nu stay the left factors: numpy's fused complex product does
     # not commute bit for bit
     np.multiply(prob.nu.data[prob.box], conj_fz, out=conj_fz)
     np.multiply(prob.mu.data[prob.box], box, out=box)
     box += conj_fz
-    return GridField(omega.L, out)
+    return out
 
 
 def normalize_solution(f, fz, fzbar, L):
@@ -151,28 +154,29 @@ def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
     above cfg.residual_tol."""
     if prob.k_bound >= 1.0:
         raise NotContractive(f"k_bound = {prob.k_bound:.6g} >= 1")
-    L, n = prob.mu.L, prob.mu.n
+    L, n, box = prob.mu.L, prob.mu.n, prob.box
     if L <= 1.0:
         raise ValueError("box must contain the normalization points 0 and 1 strictly")
     tol = cfg.inner_tol if tol is None else tol
+    # the first step is checked; later iterates vanish outside the box, so the
+    # norms read the box only, but a warm omega0's first update reads the grid
     omega = grid.zeros(L, n) if omega0 is None else GridField(L, omega0)
-    # every iterate but a warm start vanishes outside the box, so the norms
-    # read the box only; omega0 may reach outside it, so the first update
-    # of a warm solve reads the whole grid
-    box = prob.box
-    part = box if omega0 is None else ...  # ... is the whole grid
+    prev, part = omega.data, box if omega0 is None else ...  # ... is the whole grid
     trace = IterationTrace()
     for _ in range(cfg.max_inner):
-        omega_next = picard_step(omega, prob)
-        update = l2_norm(omega_next.data[part] - omega.data[part]) * omega.h
+        omega = picard_step(omega, prob)
+        update = l2_norm(omega[part] - prev[part]) * prob.mu.h
+        if not math.isfinite(update):
+            raise ValueError("grid samples must all be finite")
         trace.update_norms.append(update)
-        omega, part = omega_next, box
-        if update < tol * max(1.0, l2_norm(omega.data[box]) * omega.h):
+        prev, part = omega, box
+        if update < tol * max(1.0, l2_norm(omega[box]) * prob.mu.h):
             break
     else:
         raise MaxIterations(
             f"no convergence in {cfg.max_inner} Picard steps; last update {update:.3g}"
         )
+    omega = GridField(L, omega)  # the fixed point, checked once more
     f = prob.mu.z + cauchy_transform(omega).data
     fz = 1.0 + beurling_transform(omega).data
     fzbar = omega.data

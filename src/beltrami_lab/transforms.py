@@ -30,12 +30,13 @@ outside (verified against direct quadrature of the Cauchy integral).
 The FFTs are numpy.fft's, so a solve or a verify loads no scipy. Each
 transform call makes one spectrum grid and runs every FFT pass in place
 on it (`out=`, numpy >= 2.0); without `out=` each pass allocates a
-fresh grid. Every transform call checks the support of its input, and
-the forward FFT's first pass (along rows) runs only over the band of
-rows that hold a nonzero sample; the remaining rows are zero and
-transform to zero. The check's column maxima are taken over that band
-only. The T/S multipliers and the d/dbar multipliers of `derivatives`
-are cached apart per (L, n), so a solve builds only the former.
+fresh grid. Every public transform call checks the support of its
+input, and the forward FFT's first pass (along rows) runs only over the
+band of rows that hold a nonzero sample; the remaining rows are zero and
+transform to zero. The Picard loop's unchecked calls run the last pass
+(inverse, along rows) only over the rows of the box it reads. The T/S
+multipliers and the d/dbar multipliers of `derivatives` are cached
+apart per (L, n), so a solve builds only the former.
 """
 
 from __future__ import annotations
@@ -139,30 +140,32 @@ def _check_support(data: np.ndarray, L: float):
     return slice(j0, j1), slice(int(box_cols[0]), int(box_cols[-1]) + 1)
 
 
-def _slug_carried(omega: GridField, which: int) -> np.ndarray:
-    """T omega (which=0) or S omega (which=1) as samples: P(omega) + c R."""
-    rows, _ = _check_support(omega.data, omega.L)
-    n = omega.n
+def _slug_carried(data: np.ndarray, L: float, which: int, band: slice, box=(slice(None),) * 2):
+    """T (which=0) or S (which=1) of data on `box`; unchecked: data must vanish off `band` rows."""
+    n = data.shape[0]
     spec = np.zeros((n, n), dtype=complex)
-    fft.fft(omega.data[rows], axis=1, out=spec[rows])
+    fft.fft(data[band], axis=1, out=spec[band])
     fft.fft(spec, axis=0, out=spec)
-    R_T, R_S, per_mass = _slug(omega.L, n)
-    c = spec[0, 0] * omega.h**2 * per_mass  # the zero frequency is the mass
-    spec *= _kernels(omega.L, n)[which]
+    R_T, R_S, per_mass = _slug(L, n)
+    c = spec[0, 0] * (2.0 * L / n) ** 2 * per_mass  # the zero frequency is the mass
+    spec *= _kernels(L, n)[which]
     fft.ifft(spec, axis=0, out=spec)
-    fft.ifft(spec, axis=1, out=spec)
-    spec += c * (R_T, R_S)[which]
-    return spec
+    fft.ifft(spec[box[0]], axis=1, out=spec[box[0]])
+    out = spec[box]
+    out += c * (R_T, R_S)[which][box]
+    return out
 
 
 def cauchy_transform(omega: GridField) -> GridField:
     """T omega with dbar(T omega) = omega and decay at infinity."""
-    return GridField(omega.L, _slug_carried(omega, 0))
+    band, _ = _check_support(omega.data, omega.L)
+    return GridField(omega.L, _slug_carried(omega.data, omega.L, 0, band))
 
 
 def beurling_transform(omega: GridField) -> GridField:
     """S omega = d(T omega); unimodular multiplier, L2 isometry on mean-zero input."""
-    return GridField(omega.L, _slug_carried(omega, 1))
+    band, _ = _check_support(omega.data, omega.L)
+    return GridField(omega.L, _slug_carried(omega.data, omega.L, 1, band))
 
 
 def derivatives(f: GridField, method: str = "spectral") -> DerivativePair:

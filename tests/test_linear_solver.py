@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from beltrami_lab import linear_solver
 from beltrami_lab.coefficients import rung_bound, truncate
 from beltrami_lab.errors import MaxIterations, NotContractive, SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, l2_norm, zeros
@@ -53,33 +54,43 @@ def test_zero_coefficients_give_identity():
 def test_picard_first_step_is_mu():
     prob = constant_disk_problem(0.5, n=64)
     out = picard_step(zeros(L, 64), prob)
-    np.testing.assert_allclose(out.data, prob.mu.data, atol=1e-14)
+    np.testing.assert_allclose(out, prob.mu.data, atol=1e-14)
 
 
-def test_picard_step_matches_full_grid_formula():
-    # off-centre supports with complex mu and nu != 0: a disk, so the band
-    # is not the middle rows, and a rectangle, whose box is much narrower
-    # than its row band
-    Z = coordinates(L, 64)
+def off_centre_problems(n=64):
+    """Off-centre supports with complex mu and nu != 0: a disk, so the band
+    is not the middle rows, and a rectangle, whose box is much narrower
+    than its row band."""
+    Z = coordinates(L, n)
     supports = {
         "disk": np.abs(Z - (0.5 + 0.3j)) < 0.45,
         "rectangle": (np.abs(Z.real + 0.9) < 0.3) & (np.abs(Z.imag - 0.4) < 0.5),
     }
-    rng = np.random.default_rng(3)
     for name, inside in supports.items():
         chi = inside.astype(complex)
         prob = LinearProblem(mu=GridField(L, (0.3 + 0.2j) * chi), nu=GridField(L, 0.3j * chi),
                              k_bound=0.7)
+        yield name, inside, prob
+
+
+def test_picard_step_matches_full_grid_formula():
+    rng = np.random.default_rng(3)
+    for name, inside, prob in off_centre_problems():
         jj, kk = np.nonzero(inside)
         assert prob.box == (slice(jj.min(), jj.max() + 1), slice(kk.min(), kk.max() + 1)), name
-        omega = GridField(L, (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * chi)
+        omega = GridField(L, (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * inside)
         dfz = 1.0 + beurling_transform(omega).data
         full = prob.mu.data * dfz + prob.nu.data * np.conj(dfz)
-        out = picard_step(omega, prob).data
+        out = picard_step(omega, prob)
         assert np.array_equal(out, full), name
         outside = np.ones(out.shape, dtype=bool)
         outside[prob.box] = False
         assert np.all(out[outside] == 0), name
+        # an array step (unchecked, S on the box only) gives the bits
+        # of the checked GridField step
+        again = picard_step(out, prob)
+        assert np.array_equal(again, picard_step(GridField(L, out), prob)), name
+        assert np.all(again[outside] == 0), name
     rows, cols = prob.box  # the rectangle's
     assert cols.stop - cols.start < 16 and rows.stop - rows.start > cols.stop - cols.start
 
@@ -93,21 +104,111 @@ def test_warm_first_update_reads_the_whole_grid():
     assert prob.box[0].stop == 48
     cfg = SolverConfig(grid_n=64, box=L)
     sol = solve_linear(prob, cfg, omega0=omega0)
-    omega1 = picard_step(GridField(L, omega0), prob).data
+    omega1 = picard_step(GridField(L, omega0), prob)
     h = 2 * L / 64
     assert sol.trace.update_norms[0] == l2_norm(omega1 - omega0) * h
     assert sol.trace.update_norms[0] > l2_norm(omega1[prob.box] - omega0[prob.box]) * h
 
 
-def test_fully_truncated_problem_has_an_empty_box():
+def fully_truncated_problem():
     chi = disk_indicator(64)
     mu, nu = truncate(0.5 * chi, np.zeros_like(chi), 2)  # K = 3 > 2 everywhere
-    prob = LinearProblem(mu=GridField(L, mu), nu=GridField(L, nu), k_bound=rung_bound(2))
+    return LinearProblem(mu=GridField(L, mu), nu=GridField(L, nu), k_bound=rung_bound(2))
+
+
+def test_fully_truncated_problem_has_an_empty_box():
+    prob = fully_truncated_problem()
     assert prob.box == (slice(0, 0), slice(0, 0))
     sol = solve_linear(prob, SolverConfig(grid_n=64, box=L))
     assert sol.trace.update_norms == [0.0]
     assert sol.residual_l2_rel == 0.0
     np.testing.assert_allclose(sol.f.data, coordinates(L, 64), atol=1e-12)
+
+
+def test_warm_solve_of_a_fully_truncated_problem():
+    # the first update is omega0 itself; the array step that follows, on an
+    # empty box, returns zeros
+    prob = fully_truncated_problem()
+    omega0 = 0.5 * disk_indicator(64)
+    sol = solve_linear(prob, SolverConfig(grid_n=64, box=L), omega0=omega0)
+    assert sol.trace.update_norms == [l2_norm(omega0) * (2 * L / 64), 0.0]
+    np.testing.assert_allclose(sol.f.data, coordinates(L, 64), atol=1e-12)
+    assert np.all(sol.fzbar.data == 0)
+
+
+def spy_steps(monkeypatch, checked=False):
+    """Count picard_step calls; with checked, hand every array step to it as
+    a GridField, so each step goes through the checked public transform."""
+    calls = []
+    step = linear_solver.picard_step
+
+    def spied(omega, prob):
+        calls.append(type(omega))
+        if checked and not isinstance(omega, GridField):
+            omega = GridField(prob.mu.L, omega)
+        return step(omega, prob)
+
+    monkeypatch.setattr(linear_solver, "picard_step", spied)
+    return calls
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_array_steps_match_checked_steps(monkeypatch, start):
+    # the warm omega0 has samples outside the box, which only the checked
+    # first step may see
+    cfg = SolverConfig(grid_n=64, box=L)
+    for name, inside, prob in off_centre_problems():
+        omega0 = None
+        if start == "warm":
+            rows, cols = prob.box
+            omega0 = 0.2 * inside + 0.1j * np.roll(inside, 2, axis=1)
+            omega0[rows.start - 1, cols.start] = 0.05
+        with monkeypatch.context() as m:
+            calls = spy_steps(m, checked=True)
+            ref = solve_linear(prob, cfg, omega0=omega0)
+        calls = spy_steps(monkeypatch)
+        sol = solve_linear(prob, cfg, omega0=omega0)
+        assert calls[0] is GridField and set(calls[1:]) == {np.ndarray}, name
+        assert len(calls) == sol.trace.steps > 10, name
+        assert sol.trace.update_norms == ref.trace.update_norms, name
+        for a, b in ((sol.f, ref.f), (sol.fz, ref.fz), (sol.fzbar, ref.fzbar)):
+            assert np.array_equal(a.data, b.data), name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_non_finite_array_step_raises_at_that_step(monkeypatch, k):
+    # a NaN in the S of the k-th step (the (k-1)-th unchecked transform)
+    # stops the solve there instead of running on to max_inner
+    transforms_done = []
+    transform = linear_solver._slug_carried
+
+    def poisoned(*args):
+        out = transform(*args)
+        transforms_done.append(None)
+        if len(transforms_done) == k - 1:
+            out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(linear_solver, "_slug_carried", poisoned)
+    calls = spy_steps(monkeypatch)
+    with pytest.raises(ValueError, match="grid samples must all be finite"):
+        solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L))
+    assert len(calls) == k
+
+
+def test_warm_start_is_checked_on_the_first_step(monkeypatch):
+    prob = constant_disk_problem(0.5, n=64)
+    cfg = SolverConfig(grid_n=64, box=L)
+    calls = spy_steps(monkeypatch)
+    wide = 0.1 * (np.abs(coordinates(L, 64)) < 1.8)
+    with pytest.raises(SupportTooLarge):
+        solve_linear(prob, cfg, omega0=wide)
+    assert calls == [GridField]
+    bad = 0.5 * disk_indicator(64)
+    bad[30, 30] = np.nan
+    with pytest.raises(ValueError, match="grid samples must all be finite"):
+        solve_linear(prob, cfg, omega0=bad)
 
 
 def test_solve_linear_takes_no_numpy_norm(monkeypatch):

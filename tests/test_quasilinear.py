@@ -63,6 +63,19 @@ def test_compact_sup_distance_trivial():
     assert compact_sup_distance(f, g, 0.5) == pytest.approx(0.1)
 
 
+def test_compact_sup_distance_reads_the_square_block():
+    # the block equals the full-grid mask of the samples at distance >=
+    # margin from the boundary, margins on and between grid lines included
+    rng = np.random.default_rng(4)
+    for n in (16, 32, 64):
+        Z = coordinates(L, n)
+        f, g = (GridField(L, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                for _ in range(2))
+        for margin in (1.9, 1.5, 1.0, 0.5, 0.3, 2.0 / n, 1e-3):
+            mask = np.maximum(np.abs(Z.real), np.abs(Z.imag)) <= L - margin
+            assert compact_sup_distance(f, g, margin) == np.abs(f.data - g.data)[mask].max()
+
+
 def test_compact_sup_distance_affine_vs_identity():
     ident = from_function(L, 64, lambda z: z)
     affine = from_function(

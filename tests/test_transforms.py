@@ -20,6 +20,7 @@ from beltrami_lab.transforms import (
     _check_support,
     _kernels,
     _slug,
+    _slug_carried,
     beurling_transform,
     cauchy_transform,
     derivatives,
@@ -238,6 +239,16 @@ def test_in_place_passes_leave_inputs_and_caches_alone(field):
         assert np.abs(first - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
+        # the unchecked transform of the Picard loop: the same bits for any
+        # band that covers the occupied rows, and on any box asked for
+        band, _ = _check_support(omega.data, L)
+        whole = _slug_carried(omega.data, L, which, band)
+        assert np.array_equal(whole, first)
+        assert not np.shares_memory(whole, _slug_carried(omega.data, L, which, band))
+        wide = slice(0, n) if band.start == band.stop else slice(band.start // 2, band.stop)
+        for box in ((slice(n // 4, 3 * n // 4), slice(None)), (band, slice(n // 8, n // 2)),
+                    (slice(0, 0), slice(0, 0))):
+            assert np.array_equal(_slug_carried(omega.data, L, which, wide, box), first[box])
     after = (omega.data, *kernels, *slug[:2])
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
