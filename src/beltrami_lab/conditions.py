@@ -139,9 +139,10 @@ def divergence_integral(q, z0: complex, delta: float) -> DivergenceReport:
     if len(eps_ladder) < 5:
         raise ValueError("eps ladder must reach at least 5 values below delta")
 
+    psi = default_psi(q, z0)
+
     def integrand(r):
-        qb = circle_mean(q, z0, r)
-        val = 1.0 / (r * qb) if qb > 0 else np.inf
+        val = psi(r)
         if not np.isfinite(val):
             raise QuadratureFailure(f"non-finite integrand at r = {r:.6g}")
         return val
@@ -308,6 +309,24 @@ def _w_samples(w_max: float):
     return np.concatenate([[0.0 + 0.0j]] + [m * phases for m in mags])
 
 
+def _bound_gap(values, bound, z, w, what: str, theta=None) -> float:
+    """max(values - bound) over the samples z, -inf where the bound is infinite;
+    a gap above 1e-9 raises BoundViolation with the worst sample as witness."""
+    with np.errstate(invalid="ignore"):
+        gap = np.where(np.isinf(bound), -np.inf, values - bound)
+    worst = float(np.nanmax(gap))
+    if worst > 1e-9:
+        idx = int(np.nanargmax(gap))
+        at = f"z = {z[idx]:.6g}, w = {w:.6g}" + ("" if theta is None else f", theta = {theta:.4g}")
+        raise BoundViolation(
+            f"{what} by {worst:.3g} at {at}",
+            witness=(complex(z[idx]), complex(w), 0.0 if theta is None else float(theta)),
+            value=float(values[idx]),
+            bound=float(bound[idx]),
+        )
+    return worst
+
+
 def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
                    w_max: float = 100.0) -> ConditionReport:
     """Check K <= Q and K^T <= Q1 by sampling, then run the FMO and
@@ -332,25 +351,12 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
     thetas = 2.0 * np.pi * np.arange(64) / 64
     w_values = _w_samples(w_max)
 
-    worst_k = -np.inf
+    worst_k = worst_kt = -np.inf
     Qv = Q(z_samples)
     for w in w_values:
         mu, nu = coefficient_fields(spec, z_samples, np.full_like(z_samples, w))
         K = maximal_dilatation(mu, nu)
-        with np.errstate(invalid="ignore"):
-            gap = np.where(np.isinf(Qv), -np.inf, K - Qv)
-        k_gap = float(np.nanmax(gap))
-        worst_k = max(worst_k, k_gap)
-        if k_gap > 1e-9:
-            idx = int(np.nanargmax(gap))
-            raise BoundViolation(
-                f"K(z, w) exceeds Q(z) by {k_gap:.3g} at z = {z_samples[idx]:.6g}, w = {w:.6g}",
-                witness=(complex(z_samples[idx]), complex(w), 0.0),
-                value=float(K[idx]),
-                bound=float(Qv[idx]),
-            )
-
-    worst_kt = -np.inf
+        worst_k = max(worst_k, _bound_gap(K, Qv, z_samples, w, "K(z, w) exceeds Q(z)"))
     for z0 in probe_points:
         samples = z_samples[np.abs(z_samples - z0) > 1e-9]
         Q1v = q1(samples)
@@ -358,19 +364,7 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
             mu, nu = coefficient_fields(spec, samples, np.full_like(samples, w))
             for theta in thetas:
                 KT = tangential_dilatation(mu, nu, samples, z0, theta)
-                with np.errstate(invalid="ignore"):
-                    gap = np.where(np.isinf(Q1v), -np.inf, KT - Q1v)
-                kt_gap = float(np.nanmax(gap))
-                worst_kt = max(worst_kt, kt_gap)
-                if kt_gap > 1e-9:
-                    idx = int(np.nanargmax(gap))
-                    raise BoundViolation(
-                        f"K^T exceeds Q1 by {kt_gap:.3g} at z = {samples[idx]:.6g}, "
-                        f"w = {w:.6g}, theta = {theta:.4g}",
-                        witness=(complex(samples[idx]), complex(w), float(theta)),
-                        value=float(KT[idx]),
-                        bound=float(Q1v[idx]),
-                    )
+                worst_kt = max(worst_kt, _bound_gap(KT, Q1v, samples, w, "K^T exceeds Q1", theta))
 
     probes = []
     for z0 in probe_points:

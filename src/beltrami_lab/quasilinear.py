@@ -21,8 +21,9 @@ inner_tol otherwise, because a w-independent coefficient's first solve
 is also its last. Each later solve starts from the previous solve's raw
 omega and stops at max(inner_tol, min(1e-3, 0.1 x the last outer
 update)). Whatever the rung's stop, a last solve looser than inner_tol
-is continued from where it ended to inner_tol, so every rung's solution
-meets inner_tol.
+is continued from where it ended to inner_tol, and the rung ends on
+that solution, so its d, its residual and the next rung's start
+describe one map.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
                 stall_streak += 1
                 if stall_streak >= _STALL_STREAK:
                     if lam <= _MIN_DAMPING:
-                        stop = "stalled"  # cycle at minimum damping; keep the iterate
+                        stop = "stalled"  # cycle at minimum damping
                         break
                     lam *= 0.5
                     stall_streak = 0
@@ -233,11 +234,9 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         if solve_tol > cfg.inner_tol:
             # whatever the stop, the rung's solution meets inner_tol: continue
             # the last solve from where it ended
-            last = solution
-            solution = solve_linear(prob, cfg, omega0=raw_omega(last))
+            solution = solve_linear(prob, cfg, omega0=raw_omega(solution))
             picard_steps.append(solution.trace.steps)
-            if f_current is last.f:  # the iterate was that solve, undamped
-                f_current = solution.f
+        f_current = solution.f  # every rung ends on the map it reports
         distances = (
             [compact_sup_distance(f_current, prev_rung_f, m) for m in cfg.compact_margins]
             if prev_rung_f is not None

@@ -293,12 +293,11 @@ class VerificationReport:
     jacobian: dict
     injectivity: dict
     inverse: dict = field(default_factory=dict)
-    continuity: dict = field(default_factory=dict)
 
 
-def verification_report(solution: Solution, spec: CoefficientSpec, q_l1_norm: float = None,
-                        with_inverse: bool = True, heatmaps=None) -> VerificationReport:
-    """Full verification battery: inverse audit at p = 2, continuity fit at margin 0.5.
+def verification_report(solution: Solution, spec: CoefficientSpec, with_inverse: bool = True,
+                        heatmaps=None) -> VerificationReport:
+    """Full verification battery: residual, Jacobian, injectivity, inverse audit at p = 2.
 
     With a directory `heatmaps`, |residual| and J are also written there as
     residual.ppm and jacobian.ppm, from the same grids the report reads.
@@ -317,8 +316,6 @@ def verification_report(solution: Solution, spec: CoefficientSpec, q_l1_norm: fl
     if with_inverse and report.injectivity["passed"]:
         report.inverse = inverse_dilatation_audit(solution, spec, p=2.0,
                                                   injectivity=report.injectivity)
-    if q_l1_norm:
-        report.continuity = continuity_modulus_fit(solution, spec, q_l1_norm, 0.5)
     return report
 
 

@@ -262,6 +262,19 @@ def test_rising_updates_end_the_rung_stalled():
     assert not report.ladder_converged
 
 
+def test_stalled_rung_reports_the_map_it_ends_on():
+    # both rungs stall; rung 8's d must be the distance between the map the
+    # ladder returns and the map of the same ladder cut at rung 4, not the
+    # distance between iterates the stalled rungs did not end on
+    spec = CoefficientSpec(mu_expr=parse_coefficient_expr("0.5*exp(i*8*im(w))"))
+    cfg = SolverConfig(grid_n=32, box=L, ladder=(4, 8))
+    sol, report = solve_quasilinear(spec, cfg)
+    cut, _ = solve_quasilinear(spec, replace(cfg, ladder=(4,)))
+    assert [row["stop"] for row in report.rungs] == ["stalled", "stalled"]
+    assert report.rungs[1]["d"] == [compact_sup_distance(sol.f, cut.f, margin)
+                                    for margin in cfg.compact_margins]
+
+
 # ---------------------------------------------------------------------------
 # warm-started, inexact inner solves
 

@@ -403,12 +403,12 @@ def test_verification_report_and_ppm(tmp_path):
     from beltrami_lab.quasilinear import solve_quasilinear
 
     sol, _ = solve_quasilinear(spec, cfg)
-    report = verification_report(sol, spec, q_l1_norm=3.0 * np.pi)
+    report = verification_report(sol, spec)
     assert report.residual_l2_rel <= 1e-3
     assert report.jacobian["fraction_nonpositive"] == 0.0
     assert report.injectivity["passed"]
     assert report.inverse["mean_KIp"] == pytest.approx(3.0, rel=0.05)
-    assert np.isfinite(report.continuity["C"])
+    assert np.isfinite(continuity_modulus_fit(sol, spec, 3.0 * np.pi, 0.5)["C"])
     _write_json(report, tmp_path / "verification.json")
     assert (tmp_path / "verification.json").exists()
 
@@ -421,10 +421,10 @@ def test_verification_report_and_ppm(tmp_path):
 
 def test_solve_and_report_take_no_numpy_norm(monkeypatch):
     def no_norm(*args, **kwargs):
-        raise AssertionError("np.linalg.norm called during a solve or its report")
+        raise AssertionError("np.linalg.norm called during a solve, its report or the fit")
 
     monkeypatch.setattr(np.linalg, "norm", no_norm)
     spec = builtin_catalog("constant-disk", [0.5])
     sol, _ = quasilinear.solve_quasilinear(spec, SolverConfig(grid_n=64, box=L, ladder=(2, 4)))
-    report = verification_report(sol, spec, q_l1_norm=3.0 * np.pi)
-    assert report.inverse and report.continuity
+    report = verification_report(sol, spec)
+    assert report.inverse and continuity_modulus_fit(sol, spec, 3.0 * np.pi, 0.5)
