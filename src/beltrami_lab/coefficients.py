@@ -185,6 +185,11 @@ def spec_to_dict(spec: CoefficientSpec) -> dict:
 
 def spec_from_dict(fields: dict) -> CoefficientSpec:
     """Inverse of spec_to_dict; nu defaults to 0 and label to empty."""
+    if not isinstance(fields, dict):
+        raise ValueError(f"spec is a {type(fields).__name__}, not a table of keys")
+    missing = {"mu", "support_radius"} - fields.keys()
+    if missing:
+        raise ValueError(f"spec missing keys {sorted(missing)}")
     return CoefficientSpec(
         mu_expr=parse_coefficient_expr(fields["mu"]),
         nu_expr=parse_coefficient_expr(fields.get("nu", "0")),
@@ -222,7 +227,7 @@ def read_key_values(path) -> dict:
 
 def load_spec_file(path) -> CoefficientSpec:
     fields = read_key_values(path)
-    missing = {"mu", "support_radius"} - fields.keys()
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return spec_from_dict(fields)
+    try:
+        return spec_from_dict(fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientSpec, coefficient_fields
 from .dilatation import maximal_dilatation, tangential_dilatation
-from .errors import BoundViolation, EvalError, QuadratureFailure
+from .errors import BoundViolation, QuadratureFailure
 from .expressions import (
     MAJORANT_VARIABLES,
     RADIAL_VARIABLES,
@@ -75,7 +75,7 @@ def circle_mean(q, z0: complex, r: float, m: int = 64) -> float:
     phi = 2.0 * np.pi * np.arange(m) / m
     vals = np.asarray(q(z0 + r * np.exp(1j * phi)), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise EvalError(f"majorant not finite on the circle r = {r:.6g}")
+        raise QuadratureFailure(f"majorant not finite on the circle r = {r:.6g}")
     return float(np.mean(vals))
 
 

@@ -26,10 +26,6 @@ class UnknownIdentifier(ParseError):
         self.name = name
 
 
-class EvalError(BeltramiLabError):
-    """Domain fault during expression evaluation (division by zero, log 0, ...)."""
-
-
 class EllipticityViolation(BeltramiLabError):
     """|mu| + |nu| >= 1 at a point where the coefficient must be elliptic."""
 

@@ -13,6 +13,15 @@ Literals: decimal reals and the imaginary unit token ``i``.
 Variables: declared per parse; the coefficient set is {z, w, r, theta}
 with r = |z| and theta = arg z in [0, 2pi).
 
+Depth: the depth of an expression is the most levels on a path from
+the whole down to one number or variable, counting that operand; each
+binary operator, unary minus, function call and parenthesised group is
+a level. So `z` has depth 1, `(z)` and `z+z` depth 2, and a chain
+`z+z+...+z` of n terms depth n. An expression deeper than MAX_DEPTH =
+100 is refused with ParseError at the offset of the token that crosses
+the limit, so every accepted tree can be evaluated, printed and walked
+by recursion.
+
 Evaluation is numpy-vectorised over complex arrays with IEEE semantics:
 a division by zero or an overflow gives inf or nan, which propagates and
 never raises. The majorant evaluators rely on this for extended-real
@@ -32,6 +41,7 @@ MAJORANT_VARIABLES = frozenset({"z", "r", "theta"})
 RADIAL_VARIABLES = frozenset({"t"})
 
 FUNCTIONS = ("exp", "conj", "abs", "re", "im", "arg", "sqrt", "log")
+MAX_DEPTH = 100  # deepest accepted expression; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -116,10 +126,18 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; each parse_* method returns (tree, height).
+
+    The height counts a parenthesised group as a level. `level` counts the
+    groups, calls, unary minuses and exponents open above the current token,
+    so level + height is the depth of what was just parsed.
+    """
+
     def __init__(self, tokens, variables):
         self.toks = tokens
         self.pos = 0
         self.variables = frozenset(variables)
+        self.level = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -135,60 +153,79 @@ class _Parser:
             return self.take()
         raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", off, expected=(op,))
 
+    def check_depth(self, height, off):
+        if self.level + height > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+
+    def nested(self, parse, off):
+        """Parse one level down, refusing to descend past MAX_DEPTH."""
+        self.level += 1
+        self.check_depth(1, off)
+        node, height = parse()
+        self.level -= 1
+        return node, height + 1
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, height = self.parse_term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                node = BinOp(val, node, self.parse_term())
+                right, h = self.parse_term()
+                node, height = BinOp(val, node, right), 1 + max(height, h)
+                self.check_depth(height, off)
             else:
-                return node
+                return node, height
 
     def parse_term(self):
-        node = self.parse_factor()
+        node, height = self.parse_factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                node = BinOp(val, node, self.parse_factor())
+                right, h = self.parse_factor()
+                node, height = BinOp(val, node, right), 1 + max(height, h)
+                self.check_depth(height, off)
             else:
-                return node
+                return node, height
 
     def parse_factor(self):
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return Neg(self.parse_factor())
+            arg, height = self.nested(self.parse_factor, off)
+            return Neg(arg), height
         return self.parse_power()
 
     def parse_power(self):
-        node = self.parse_atom()
-        kind, val, _ = self.peek()
+        node, height = self.parse_atom()
+        kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            return BinOp("^", node, self.parse_factor())
-        return node
+            exponent, h = self.nested(self.parse_factor, off)
+            node, height = BinOp("^", node, exponent), max(height + 1, h)
+            self.check_depth(height, off)
+        return node, height
 
     def parse_atom(self):
         kind, val, off = self.take()
         if kind == "num":
-            return Num(complex(float(val)))
+            return Num(complex(float(val))), 1
         if kind == "name":
             if val == "i":
-                return Num(1j)
+                return Num(1j), 1
             if val in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg, height = self.nested(self.parse_expr, off)
                 self.expect_op(")")
-                return Func(val, arg)
+                return Func(val, arg), height
             if val in self.variables:
-                return Var(val)
+                return Var(val), 1
             raise UnknownIdentifier(val, off, allowed=tuple(sorted(self.variables)) + FUNCTIONS)
         if kind == "op" and val == "(":
-            node = self.parse_expr()
+            node, height = self.nested(self.parse_expr, off)
             self.expect_op(")")
-            return node
+            return node, height
         raise ParseError(
             f"expected an operand, found {val or 'end of input'!r}",
             off,
@@ -201,7 +238,7 @@ def parse_expression(text, variables=COEFFICIENT_VARIABLES):
     if not text or not text.strip():
         raise ParseError("empty expression", 0, expected=("number", "name", "("))
     parser = _Parser(_tokenize(text), variables)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, val, off = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", off, expected=("end of input",))
@@ -247,7 +284,11 @@ def _fmt_num(v: complex) -> str:
 
 
 def format_expression(node) -> str:
-    """Render a tree back to parseable text; parse(format(t)) evaluates like t."""
+    """Render a tree back to parseable text; parse(format(t)) evaluates like t.
+
+    A tree the parser made comes back as the same tree, with no group the
+    parsed text did not have, so it is no deeper than that text.
+    """
     if isinstance(node, Num):
         return _fmt_num(node.value)
     if isinstance(node, Var):
@@ -263,11 +304,12 @@ def format_expression(node) -> str:
         lhs = format_expression(node.left)
         rhs = format_expression(node.right)
         p = _PRECEDENCE[node.op]
-        # left operand needs parens below own precedence; right operand also at
-        # equal precedence for the non-associative ops (-, /) and for ^'s base
+        # left operand needs parens below own precedence, and ^'s base at it too;
+        # the right operand also at equal precedence, so the chains keep their
+        # grouping, except the exponent: a factor, which may be -x or x^y
         if _prec(node.left) < p or (node.op == "^" and _prec(node.left) <= p):
             lhs = f"({lhs})"
-        if _prec(node.right) < p or (node.op in "-/" and _prec(node.right) == p):
+        if _prec(node.right) < (_PRECEDENCE["neg"] if node.op == "^" else p + 1):
             rhs = f"({rhs})"
         return f"{lhs}{node.op}{rhs}"
     raise TypeError(f"not an expression node: {node!r}")

@@ -254,14 +254,32 @@ def save_solution(sol: Solution, outdir, extra_meta=None):
 def load_solution(indir) -> Solution:
     """Read an archive; keys it does not read (older archives carry more) are ignored."""
     src = Path(indir)
-    meta = json.loads((src / "meta.json").read_text())
-    nm = meta["normalization"]
-    norm = Normalization(complex(*nm["translation"]), nm["scale"], nm["arg_f1"])
+    path = src / "meta.json"
+    meta = json.loads(path.read_text())
+
+    def field(where):
+        return _meta_field(meta, where, path)
+
+    norm = Normalization(complex(*field("normalization/translation")),
+                         field("normalization/scale"), field("normalization/arg_f1"))
     return Solution(
         f=grid.load(src / "f.blgf"),
         fz=grid.load(src / "fz.blgf"),
         fzbar=grid.load(src / "fzbar.blgf"),
-        trace=IterationTrace(update_norms=meta["trace"]["update_norms"]),
+        trace=IterationTrace(update_norms=field("trace/update_norms")),
         normalization=norm,
-        residual_l2_rel=meta["residual_l2_rel"],
+        residual_l2_rel=field("residual_l2_rel"),
     )
+
+
+def _meta_field(meta, where, path):
+    """The value at `where` ("trace/update_norms"); a ValueError names the file and bad key."""
+    keys = where.split("/")
+    for i, key in enumerate(keys):
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: {'/'.join(keys[:i]) or 'the top level'} is a "
+                             f"{type(meta).__name__}, not an object")
+        if key not in meta:
+            raise ValueError(f"{path}: no key {'/'.join(keys[:i + 1])!r}")
+        meta = meta[key]
+    return meta

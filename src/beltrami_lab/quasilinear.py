@@ -79,7 +79,7 @@ class SolverConfig:
 
 @dataclass
 class LadderReport:
-    """Per-rung summaries and compact sup-distances between rung limits."""
+    """Per-rung summaries, untruncated residuals and sup-distances between rung limits."""
 
     margins: tuple
     rungs: list = field(default_factory=list)
@@ -88,7 +88,8 @@ class LadderReport:
     quasi_residual: float = float("nan")
     degenerate_samples: int = 0
 
-    def add_rung(self, rung, outer_steps, picard_steps, linear_residual, distances, stop):
+    def add_rung(self, rung, outer_steps, picard_steps, linear_residual, distances, stop,
+                 quasi_residual):
         self.rungs.append(
             {
                 "rung": rung,
@@ -98,6 +99,7 @@ class LadderReport:
                 "residual": linear_residual,
                 "d": list(distances),
                 "stop": stop,
+                "quasi_residual": quasi_residual,
             }
         )
 
@@ -242,8 +244,10 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             if prev_rung_f is not None
             else [float("nan")] * len(cfg.compact_margins)
         )
+        if outer_steps:  # a repeated rung ends on the previous rung's map
+            _, norms = residual(solution, spec)
         report.add_rung(rung, outer_steps, picard_steps, solution.residual_l2_rel, distances,
-                        stop)
+                        stop, norms["l2_rel"])
         if stop != "tol":
             prev_mu = prev_nu = None  # only a settled rung's coefficients carry over
         report.final_rung = rung
@@ -251,7 +255,6 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         if not np.isnan(distances[0]) and max(distances) < cfg.ladder_tol:
             cauchy = True
             break
-    _, norms = residual(solution, spec)
     report.quasi_residual = norms["l2_rel"]
     report.degenerate_samples = norms["degenerate_samples"]
     report.ladder_converged = (

@@ -483,3 +483,85 @@ def test_verify_refuses_a_non_finite_certificate(tmp_path, monkeypatch, capsys, 
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look up their module
     spec.loader.exec_module(workloads)
     assert workloads.check_verification(out, workloads.WORKLOADS["disk-512"])
+
+
+# ---------------------------------------------------------------------------
+# input boundaries: every fault below exits 1 with an error line, no traceback
+
+DEEP_MU = {
+    "groups": "(" * 300 + "0.5" + ")" * 300,
+    "sum": "+".join(["0.0004"] * 1200),  # the parser's loop reads it; evaluation would recurse
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_MU))
+def test_too_deep_spec_exits_1(shape, tmp_path, capsys):
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f'mu = "{DEEP_MU[shape]}"\nsupport_radius = 1\n')
+    assert run(["solve", "--spec", str(spec), "--grid", "32", "--out", str(tmp_path / "run")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_too_deep_majorant_exits_1(tmp_path, capsys):
+    assert run(["analyze", "--spec", "constant-disk:0.5", "--Q", DEEP_MU["groups"],
+                "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _drop_normalization(meta):
+    del meta["normalization"]
+
+
+def _drop_spec_mu(meta):
+    del meta["spec"]["mu"]
+
+
+def _trace_as_list(meta):
+    meta["trace"] = meta["trace"]["update_norms"]
+
+
+def _spec_as_text(meta):
+    meta["spec"] = "constant-disk:0.5"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_normalization, "meta.json: no key 'normalization'"),
+    (_drop_spec_mu, "spec missing keys ['mu']"),
+    (_trace_as_list, "meta.json: trace is a list, not an object"),
+    (_spec_as_text, "spec is a str, not a table of keys"),
+], ids=["no-normalization", "spec-without-mu", "trace-list", "spec-text"])
+def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "32", "--ladder", "2,4,8",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    corrupt(meta)
+    (out / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(["verify", "--archive", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+
+
+# ---------------------------------------------------------------------------
+# exit codes of w-dependent scan members (scripts/w_dependent_scan.py)
+
+@pytest.mark.parametrize("mu, code, stops", [
+    ("0.3*exp(i*4*im(w))", 0, ["tol", "tol"]),
+    # residual 7.5e-6 is within residual_tol, but rung 4 stopped at its cap
+    ("0.3*exp(i*8*abs(w)^2)", 3, ["max_outer", "tol"]),
+    ("0.5*exp(i*8*im(w))", 3, ["stalled", "stalled"]),
+])
+def test_scan_member_exit_code_is_the_verdict(mu, code, stops, tmp_path):
+    spec = tmp_path / "member.spec"
+    spec.write_text(f'mu = "{mu}"\nsupport_radius = 1\n')
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", str(spec), "--grid", "32", "--ladder", "4,8",
+                "--out", str(out)]) == code
+    ladder = json.loads((out / "ladder.json").read_text())
+    assert [row["stop"] for row in ladder["rungs"]] == stops
+    assert ladder["ladder_converged"] == (code == 0)
+    assert ladder["rungs"][-1]["quasi_residual"] == ladder["quasi_residual"]
+    if code == 3 and stops[-1] == "tol":
+        assert ladder["quasi_residual"] <= 1e-3  # flagged for the cap, not the residual

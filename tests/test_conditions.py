@@ -18,7 +18,7 @@ from beltrami_lab.conditions import (
     parse_majorant,
     psi_admissibility,
 )
-from beltrami_lab.errors import BoundViolation
+from beltrami_lab.errors import BoundViolation, QuadratureFailure
 from beltrami_lab.linear_solver import _write_json
 
 
@@ -229,3 +229,9 @@ def test_constant_majorant_divergence_agrees_with_psi(c):
     assert rep.limit is None
     psi = psi_admissibility(default_psi(q, 0), q, 0, eps0=0.5, eps_prime=0.5)
     assert psi.I_unbounded == rep.verdict
+
+
+def test_circle_mean_of_a_majorant_infinite_on_the_circle_raises():
+    # 1/(r - 0.5) is infinite at every node of the circle r = 0.5
+    with pytest.raises(QuadratureFailure, match="not finite on the circle"):
+        circle_mean(parse_majorant("1/(r-0.5)"), 0, 0.5)

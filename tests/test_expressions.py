@@ -143,3 +143,53 @@ def test_print_parse_round_trip(tree, seed):
     both_finite = np.isfinite(a) & np.isfinite(b)
     assert np.array_equal(np.isfinite(a), np.isfinite(b))
     np.testing.assert_allclose(a[both_finite], b[both_finite], rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bounded depth
+
+DEEPEST = {
+    "groups": "(" * 99 + "z" + ")" * 99,
+    "sum": "+".join(["w"] * 100),
+    "minuses": "-" * 99 + "z",
+    "powers": "^".join(["z"] * 100),
+    "calls": "exp(" * 99 + "z" + ")" * 99,
+    # printed without a new group: as z^-z, and as z*(z*z), not z*z*z
+    "negative-exponent": "-" * 97 + "z^-z",
+    "right-grouped": "-" * 98 + "z*(z*z)",
+}
+ONE_DEEPER = {  # (text, offset of the token that crosses the limit)
+    "groups": ("(" * 100 + "z" + ")" * 100, 99),
+    "sum": ("+".join(["w"] * 101), 199),
+    "minuses": ("-" * 100 + "z", 99),
+    "powers": ("^".join(["z"] * 101), 199),
+    "calls": ("exp(" * 100 + "z" + ")" * 100, 396),
+    "group-then-power": ("(" * 99 + "z" + ")" * 99 + "^z", 199),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEPEST))
+def test_deepest_accepted_expression_evaluates_and_round_trips(shape):
+    tree = parse_expression(DEEPEST[shape])
+    env = standard_env(np.array([0.3 + 0.1j]), np.array([0.2 - 0.1j]))
+    assert evaluate(tree, env).shape == (1,)
+    assert parse_expression(format_expression(tree)) == tree
+    assert free_variables(tree) == {"w" if shape == "sum" else "z"}
+
+
+@pytest.mark.parametrize("shape", sorted(ONE_DEEPER))
+def test_expression_past_the_depth_limit_is_refused(shape):
+    text, offset = ONE_DEEPER[shape]
+    with pytest.raises(ParseError, match="deeper than 100 levels") as err:
+        parse_expression(text)
+    assert err.value.offset == offset
+
+
+def test_depth_limit_counts_levels_not_length():
+    # a balanced sum of 1024 operands is long but only 21 levels deep
+    text = "z"
+    for _ in range(10):
+        text = f"({text})+({text})"
+    tree = parse_expression(text)
+    assert len(text) > 6000
+    assert complex(evaluate(tree, standard_env(0.5))) == 512

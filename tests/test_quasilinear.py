@@ -498,3 +498,33 @@ def test_repeated_rung_runs_no_stale_continuation(monkeypatch):
     assert [len(solves) for solves in solves_by_rung(calls, report)] == [3, 0]
     assert calls[1][2] > cfg.inner_tol  # the warm solve ran loose
     assert repeated_rung_row(report.rungs[1]) == (0, 0, 0, "tol", [0.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the untruncated residual of each rung
+
+@pytest.mark.parametrize("spec, n, solved", [
+    (builtin_catalog("paper-example-sec4"), 32, [True, True, True]),
+    (builtin_catalog("constant-disk", [0.5]), 64, [True, True, False]),  # rung 8 repeats rung 4
+], ids=["sec4-32", "disk-64"])
+def test_each_rung_row_holds_the_residual_of_the_ladder_cut_there(spec, n, solved, monkeypatch):
+    # the oracle is the same spec solved with the ladder cut after that rung
+    calls = []
+    residual = quasilinear.residual
+
+    def counted(solution, spec):
+        calls.append(solution)
+        return residual(solution, spec)
+    monkeypatch.setattr(quasilinear, "residual", counted)
+    cfg = SolverConfig(grid_n=n, box=L, ladder=(2, 4, 8))
+    _, report = solve_quasilinear(spec, cfg)
+    rows = report.rungs
+    assert [row["outer_steps"] > 0 for row in rows] == solved
+    assert len(calls) == sum(solved)  # a repeated rung makes no call
+    for prev, row in zip(rows, rows[1:]):
+        if not row["outer_steps"]:
+            assert row["quasi_residual"] == prev["quasi_residual"]
+    assert report.quasi_residual == rows[-1]["quasi_residual"]
+    for k, row in enumerate(rows):
+        _, cut = solve_quasilinear(spec, replace(cfg, ladder=cfg.ladder[:k + 1]))
+        assert row["quasi_residual"] == cut.quasi_residual
