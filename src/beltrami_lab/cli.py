@@ -6,14 +6,13 @@ ended before its rungs were Cauchy, the untruncated residual exceeds
 residual_tol, or a rung stopped stalled or at max_outer). Reports are
 standard JSON (linear_solver._write_json): sorted keys, complex numbers as
 [re, im]; a non-finite number is null in ladder.json and conditions.json
-and an exit 1 elsewhere. Evidence ladders are CSV, grids the BLGF binary
-format; identical configurations produce byte-identical reports.
+and an exit 1 elsewhere. Grids are in the BLGF binary format; identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -86,14 +85,6 @@ def _save_archive(solution, report, spec, out):
     _write_json(report, out / "ladder.json", nulls=True)
 
 
-def _write_ladder_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "value"])
-        for eps, val in zip(report.eps, report.partials):
-            writer.writerow([eps, val])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -110,8 +101,6 @@ def cmd_analyze(args):
     q1 = conditions.parse_majorant(args.Q1)
     report = conditions.audit_theorem1(spec, Q, q1, args.z0, w_max=args.w_max)
     _write_json(report, out / "conditions.json", nulls=True)
-    for i, probe in enumerate(report.probes):
-        _write_ladder_csv(probe.divergence, out / f"divergence-probe{i}.csv")
     print(f"bound check: max K - Q = {report.max_k_minus_q:.3g}, "
           f"max K^T - Q1 = {report.max_kt_minus_q1:.3g}")
     for probe in report.probes:
@@ -175,15 +164,13 @@ def cmd_example(args):
     print(f"integral of 1/r over the unit disk = {disk_int:.5f} (2*pi = {2 * np.pi:.5f})")
 
     div_q = conditions.divergence_integral(q_inv_r, 0.0, args.delta)
-    results["Q_divergence"] = {"verdict": div_q.verdict, "limit": div_q.limit}
+    results["Q_divergence"] = div_q
     print(f"I(eps) for Q = 1/r: verdict {div_q.verdict}, limit = {div_q.limit:.6f} "
           f"(delta = {args.delta})")
-    _write_ladder_csv(div_q, out / "I-of-eps-Q.csv")
 
     div_q1 = conditions.divergence_integral(q_one, 0.0, args.delta)
-    results["Q1_divergence"] = {"verdict": div_q1.verdict}
+    results["Q1_divergence"] = div_q1
     print(f"I(eps) for Q1 = 1: verdict {div_q1.verdict}")
-    _write_ladder_csv(div_q1, out / "I-of-eps-Q1.csv")
 
     # tangential dilatation samples for both phase variants at r=0.3, |w|=0.2
     r_probe, w_probe = 0.3, 0.2

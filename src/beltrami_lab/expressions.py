@@ -9,7 +9,8 @@ Grammar (ASCII, standard precedence ^ > unary - > * / > + -):
     atom    := NUMBER | 'i' | VAR | FUNC '(' expr ')' | '(' expr ')'
 
 Functions: exp, conj, abs, re, im, arg, sqrt, log (all unary).
-Literals: decimal reals and the imaginary unit token ``i``.
+Literals: decimal reals that a float holds (1e999 is refused) and the
+imaginary unit token ``i``.
 Variables: declared per parse; the coefficient set is {z, w, r, theta}
 with r = |z| and theta = arg z in [0, 2pi).
 
@@ -30,6 +31,7 @@ values, and the coefficient samplers mask or truncate such samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,7 +212,10 @@ class _Parser:
     def parse_atom(self):
         kind, val, off = self.take()
         if kind == "num":
-            return Num(complex(float(val))), 1
+            value = float(val)
+            if not math.isfinite(value):  # 1e999: its printed form, inf, would not parse back
+                raise ParseError(f"number {val!r} overflows a float", off)
+            return Num(complex(value)), 1
         if kind == "name":
             if val == "i":
                 return Num(1j), 1

@@ -120,13 +120,18 @@ def from_function(L: float, n: int, fn) -> GridField:
 
 
 def load(path) -> GridField:
+    """Read a BLGF file; a ValueError names the file if it is not one."""
     with open(path, "rb") as fh:
         header = fh.read(16)
-        if header[:4] != MAGIC:
-            raise ValueError(f"{path}: bad magic {header[:4]!r}")
-        n = struct.unpack("<I", header[4:8])[0]
-        L = struct.unpack("<d", header[8:16])[0]
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(n, n)
+        payload = fh.read()
+    if len(header) < 16:
+        raise ValueError(f"{path}: header of {len(header)} bytes, not 16")
+    if header[:4] != MAGIC:
+        raise ValueError(f"{path}: bad magic {header[:4]!r}")
+    n, L = struct.unpack("<Id", header[4:])
+    if len(payload) != 16 * n * n:
+        raise ValueError(f"{path}: {len(payload)} bytes of samples, not 16*{n}^2")
+    data = np.frombuffer(payload, dtype="<c16").reshape(n, n)
     return GridField(L, data.astype(complex))
 
 

@@ -88,15 +88,13 @@ class LadderReport:
     quasi_residual: float = float("nan")
     degenerate_samples: int = 0
 
-    def add_rung(self, rung, outer_steps, picard_steps, linear_residual, distances, stop,
-                 quasi_residual):
+    def add_rung(self, rung, outer_steps, picard_steps, distances, stop, quasi_residual):
         self.rungs.append(
             {
                 "rung": rung,
                 "outer_steps": outer_steps,
                 "picard_steps": sum(picard_steps),
                 "picard_steps_max": max(picard_steps, default=0),
-                "residual": linear_residual,
                 "d": list(distances),
                 "stop": stop,
                 "quasi_residual": quasi_residual,
@@ -246,8 +244,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         )
         if outer_steps:  # a repeated rung ends on the previous rung's map
             _, norms = residual(solution, spec)
-        report.add_rung(rung, outer_steps, picard_steps, solution.residual_l2_rel, distances,
-                        stop, norms["l2_rel"])
+        report.add_rung(rung, outer_steps, picard_steps, distances, stop, norms["l2_rel"])
         if stop != "tol":
             prev_mu = prev_nu = None  # only a settled rung's coefficients carry over
         report.final_rung = rung

@@ -262,7 +262,6 @@ def test_criterion_6_inverse_audit_oracle():
         fz=from_function(L, n, lambda z: np.ones_like(z)),
         fzbar=from_function(L, n, lambda z: np.full_like(z, 0.5)),
         trace=IterationTrace(), normalization=Normalization(0j, 1.0, 0.0),
-        residual_l2_rel=0.0,
     )
     unit_disk = builtin_catalog("constant-disk", [0.5])  # f solves it inside the support
     out = inverse_dilatation_audit(sol, unit_disk, p=2.0)
@@ -304,7 +303,7 @@ def test_criterion_8_negative_controls():
     pair = derivatives(field, method="fd")
     bad = Solution(
         f=field, fz=pair.fz, fzbar=pair.fzbar, trace=IterationTrace(),
-        normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
+        normalization=Normalization(0j, 1.0, 0.0),
     )
     unit_disk = builtin_catalog("constant-disk", [0.5])
     _, norms = residual(bad, unit_disk)
@@ -315,7 +314,6 @@ def test_criterion_8_negative_controls():
         fz=zeros(L, n),
         fzbar=from_function(L, n, lambda z: np.ones_like(z)),
         trace=IterationTrace(), normalization=Normalization(0j, 1.0, 0.0),
-        residual_l2_rel=0.0,
     )
     ok_conj = jacobian_stats(conj_sol, unit_disk)["fraction_nonpositive"] == 1.0
 
@@ -323,7 +321,7 @@ def test_criterion_8_negative_controls():
     sq_pair = derivatives(sq, method="fd")
     sq_sol = Solution(
         f=sq, fz=sq_pair.fz, fzbar=sq_pair.fzbar, trace=IterationTrace(),
-        normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
+        normalization=Normalization(0j, 1.0, 0.0),
     )
     ok_square = not injectivity_check(sq_sol)["passed"]
 

@@ -41,7 +41,11 @@ def test_example_constants(tmp_path, capsys):
     # the printed phase spreads with theta and crosses 1 (flagged in output)
     kt1 = payload["kt_samples"]["paper-example-sec4"]
     assert max(kt1) > 1.0
-    assert (tmp_path / "I-of-eps-Q.csv").exists()
+    # each divergence ladder is held once, in example.json
+    for key in ("Q_divergence", "Q1_divergence"):
+        ladder = payload[key]
+        assert len(ladder["eps"]) == len(ladder["partials"]) >= 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["example.json"]
     out = capsys.readouterr().out
     assert "DIVERGENT" in out
 
@@ -67,8 +71,10 @@ def test_analyze_writes_report(tmp_path):
     ])
     assert code == 0
     payload = json.loads((tmp_path / "b" / "conditions.json").read_text())
-    assert payload["probes"][0]["divergence"]["verdict"] == "DIVERGENT"
-    assert (tmp_path / "b" / "divergence-probe0.csv").exists()
+    divergence = payload["probes"][0]["divergence"]
+    assert divergence["verdict"] == "DIVERGENT"
+    assert len(divergence["eps"]) == len(divergence["partials"]) >= 5
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["conditions.json"]
 
 
 def test_analyze_bound_violation_exit_code(tmp_path):
@@ -91,9 +97,13 @@ def test_solve_and_verify_archive(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["spec"]["support_radius"] == 1.0
     # each fact once: box and size live in the grid headers, rung and
-    # quasi_residual in ladder.json, label and support in the spec
-    assert set(meta) == {"normalization", "residual_l2_rel", "spec", "trace"}
+    # quasi_residual in ladder.json, label and support in the spec; the
+    # equation residual in verification.json
+    assert set(meta) == {"normalization", "spec", "trace"}
     assert set(meta["trace"]) == {"update_norms"}
+    ladder = json.loads((out / "ladder.json").read_text())
+    assert set(ladder["rungs"][0]) == {"d", "outer_steps", "picard_steps", "picard_steps_max",
+                                       "quasi_residual", "rung", "stop"}
 
     code = run(["verify", "--archive", str(out), "--heatmaps"])
     assert code == 0
@@ -140,14 +150,15 @@ def test_archive_in_the_older_format_still_verifies(tmp_path):
     assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "64", "--ladder", "2,4,8",
                 "--out", str(out)]) == 0
     assert run(["verify", "--archive", str(out), "--out", str(tmp_path / "new")]) == 0
-    # the older format also stored the grid geometry, the rung, the spec's
-    # label and support, the ladder's residual and the trace's counters
+    # the older formats also stored the grid geometry, the rung, the spec's
+    # label and support, the ladder's residual, the trace's counters and
+    # the last solve's linear residual
     meta = json.loads((out / "meta.json").read_text())
     ladder = json.loads((out / "ladder.json").read_text())
     meta.update(box=2.0, n=64, rung=ladder["final_rung"], label=meta["spec"]["label"],
                 support_radius=meta["spec"]["support_radius"],
                 quasi_residual=ladder["quasi_residual"],
-                degenerate_samples=ladder["degenerate_samples"])
+                degenerate_samples=ladder["degenerate_samples"], residual_l2_rel=5.9e-12)
     meta["trace"].update(steps=len(meta["trace"]["update_norms"]), converged=True)
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     assert run(["verify", "--archive", str(out), "--out", str(tmp_path / "old")]) == 0
@@ -508,6 +519,41 @@ def test_too_deep_majorant_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _exits_1(argv, capsys, message):
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--Q", "3 $"], "unexpected character '$' (offset 2)"),
+    (["analyze", "--Q", "(3"], "expected ')', found 'end of input' (offset 2)"),
+    (["analyze", "--Q", "3 3"], "trailing input '3' (offset 2)"),
+    # 1e999 would print back as inf, which no later parse could read
+    (["analyze", "--Q", "1e999"], "number '1e999' overflows a float (offset 0)"),
+    (["analyze", "--Q", "3", "--Q1", "3", "--z0", "0.999"],
+     "eps ladder must reach at least 5 values below delta"),
+    (["solve", "--grid", "32", "--box", "1", "--margins", "0.5,0.25"],
+     "box must contain the normalization points"),
+], ids=["character", "unclosed", "trailing", "overflow", "probe-at-rim", "box-1"])
+def test_bad_input_exits_1(argv, message, tmp_path, capsys):
+    _exits_1(argv + ["--spec", "constant-disk:0.5", "--out", str(tmp_path)], capsys, message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('mu = "0.5"\nsupport_radius = 0\n', "{path}: support_radius must be positive"),
+    ("support_radius = 1\n", "{path}: spec missing keys ['mu']"),
+    ('mu = "0.5+1/1e999"\nsupport_radius = 1\n', "number '1e999' overflows a float (offset 6)"),
+], ids=["zero-support", "no-mu", "overflow"])
+def test_bad_spec_file_exits_1_before_any_archive(text, message, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    _exits_1(["solve", "--spec", str(spec), "--grid", "32", "--out", str(tmp_path / "run")],
+             capsys, message.format(path=spec))
+    assert not (tmp_path / "run").exists()
+
+
 def _drop_normalization(meta):
     del meta["normalization"]
 
@@ -524,12 +570,17 @@ def _spec_as_text(meta):
     meta["spec"] = "constant-disk:0.5"
 
 
+def _drop_spec(meta):
+    del meta["spec"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_normalization, "meta.json: no key 'normalization'"),
     (_drop_spec_mu, "spec missing keys ['mu']"),
     (_trace_as_list, "meta.json: trace is a list, not an object"),
     (_spec_as_text, "spec is a str, not a table of keys"),
-], ids=["no-normalization", "spec-without-mu", "trace-list", "spec-text"])
+    (_drop_spec, "archive has no embedded spec; pass --spec"),
+], ids=["no-normalization", "spec-without-mu", "trace-list", "spec-text", "no-spec"])
 def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "32", "--ladder", "2,4,8",
@@ -542,6 +593,21 @@ def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("cut", [
+    lambda data: data[:10],
+    lambda data: data[:-16],
+    lambda data: data + data[16:],
+], ids=["header", "short-payload", "long-payload"])
+def test_malformed_grid_file_exits_1(cut, archive, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("meta.json", "f.blgf", "fz.blgf", "fzbar.blgf"):
+        (out / name).write_bytes((archive / name).read_bytes())
+    grid_file = out / "f.blgf"
+    grid_file.write_bytes(cut(grid_file.read_bytes()))
+    _exits_1(["verify", "--archive", str(out)], capsys, f"error: {grid_file}: ")
 
 
 # ---------------------------------------------------------------------------

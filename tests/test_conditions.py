@@ -7,6 +7,7 @@ from beltrami_lab.coefficients import builtin_catalog
 from beltrami_lab.conditions import (
     CONVERGENT,
     DIVERGENT,
+    INCONCLUSIVE,
     LIKELY_FMO,
     LIKELY_NOT_FMO,
     audit_theorem1,
@@ -82,6 +83,22 @@ def test_divergence_log_majorant_diverges():
     # integrand 1/(r log(1/r)); antiderivative log log(1/r) still diverges
     rep = divergence_integral(parse_majorant("log(1/r)"), 0, delta=0.4)
     assert rep.verdict == DIVERGENT
+
+
+def test_divergence_between_the_ratio_thresholds_is_inconclusive():
+    # integrand r^-0.678: each dyadic ring's increment is 2^-0.322 = 0.80 of the last,
+    # between the convergent (0.75) and divergent (0.85) ratios
+    rep = divergence_integral(parse_majorant("r^-0.3219"), 0, 0.5)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.median_ratio == pytest.approx(0.80, abs=1e-3)
+    assert rep.limit is None
+
+
+def test_fmo_slowly_growing_oscillation_is_inconclusive():
+    # r^-0.05: the oscillation grows, but by less than 2x over the eps ladder
+    rep = fmo_estimate(parse_majorant("r^-0.05"), 0)
+    assert rep.verdict == INCONCLUSIVE
+    assert 1.25 * rep.oscillations[1] < rep.oscillations[-1] < 2.0 * rep.oscillations[0]
 
 
 def test_fmo_constant_zero_oscillation():

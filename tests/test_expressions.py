@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltrami_lab.errors import ParseError, UnknownIdentifier
@@ -131,6 +131,9 @@ def _trees(depth):
 
 @settings(max_examples=100, deadline=None)
 @given(tree=_trees(3), seed=st.integers(0, 2**32 - 1))
+# complex literals print as a parenthesised sum
+@example(tree=Num(0.5 - 0.25j), seed=0)
+@example(tree=Num(-2j), seed=0)
 def test_print_parse_round_trip(tree, seed):
     text = format_expression(tree)
     reparsed = parse_expression(text)
@@ -143,6 +146,20 @@ def test_print_parse_round_trip(tree, seed):
     both_finite = np.isfinite(a) & np.isfinite(b)
     assert np.array_equal(np.isfinite(a), np.isfinite(b))
     np.testing.assert_allclose(a[both_finite], b[both_finite], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("text", ["(z+1)*z", "(z-1)/(z+1)", "(z^2)^z", "(-z)^2", "1.7e308"])
+def test_printed_tree_parses_back_to_the_same_tree(text):
+    # a left operand below its operator's precedence (and ^'s base at it) keeps its group
+    tree = parse_expression(text)
+    assert parse_expression(format_expression(tree)) == tree
+
+
+def test_overflowing_literal_is_refused_at_its_offset():
+    # 1e999 would be inf, which prints as a name the parser does not know
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse_expression("0.5+1/1e999")
+    assert err.value.offset == 6
 
 
 # ---------------------------------------------------------------------------

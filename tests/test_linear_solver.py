@@ -1,5 +1,5 @@
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,13 @@ def constant_disk_problem(k, n=N, nu_side=False):
     return LinearProblem(mu=mu, nu=nu, k_bound=k)
 
 
+def linear_residual(sol, prob):
+    """Relative L2 residual of f_zbar = mu f_z + nu conj(f_z) over the whole grid."""
+    fz = sol.fz.data
+    res = sol.fzbar.data - prob.mu.data * fz - prob.nu.data * np.conj(fz)
+    return l2_norm(res) / l2_norm(fz)
+
+
 def closed_form(z, k):
     """Principal solution for mu = k chi_D: z + k conj(z) inside, z + k/z outside."""
     zs = np.where(z == 0, 1, z)
@@ -45,7 +52,7 @@ def test_zero_coefficients_give_identity():
     prob = LinearProblem(mu=zeros(L, 64), nu=zeros(L, 64), k_bound=0.0)
     sol = solve_linear(prob, SolverConfig(grid_n=64, box=L))
     assert sol.trace.steps == 1
-    assert sol.residual_l2_rel == 0.0
+    assert linear_residual(sol, prob) == 0.0
     np.testing.assert_allclose(sol.f.data, coordinates(L, 64), atol=1e-12)
     np.testing.assert_allclose(sol.fz.data, 1.0, atol=1e-12)
     np.testing.assert_allclose(sol.fzbar.data, 0.0, atol=1e-12)
@@ -121,7 +128,7 @@ def test_fully_truncated_problem_has_an_empty_box():
     assert prob.box == (slice(0, 0), slice(0, 0))
     sol = solve_linear(prob, SolverConfig(grid_n=64, box=L))
     assert sol.trace.update_norms == [0.0]
-    assert sol.residual_l2_rel == 0.0
+    assert linear_residual(sol, prob) == 0.0
     np.testing.assert_allclose(sol.f.data, coordinates(L, 64), atol=1e-12)
 
 
@@ -234,7 +241,7 @@ def test_constant_disk_matches_closed_form(nu_side):
     err = np.abs(raw - closed_form(Z, 0.5))[mask].max()
     assert err <= 1e-2
     # the coefficient equation itself holds to solver precision
-    assert sol.residual_l2_rel <= 1e-6
+    assert linear_residual(sol, prob) <= 1e-6
 
 
 def test_measured_contraction_ratio():
@@ -340,6 +347,17 @@ def test_max_inner_caps_the_picard_steps():
     assert capped.trace.steps == len(capped.trace.update_norms) == steps
     with pytest.raises(MaxIterations, match=f"no convergence in {steps - 1} Picard steps"):
         solve_linear(prob, SolverConfig(grid_n=64, box=L, max_inner=steps - 1))
+
+
+def test_the_residual_check_reads_the_linear_residual():
+    # the check sums on the box only; the whole-grid residual is the same number
+    prob = constant_disk_problem(0.5, n=64)
+    cfg = SolverConfig(grid_n=64, box=L)
+    res = linear_residual(solve_linear(prob, cfg), prob)
+    assert 0.0 < res < 1e-9
+    solve_linear(prob, replace(cfg, residual_tol=1.01 * res))
+    with pytest.raises(MaxIterations, match="converged iteration left residual"):
+        solve_linear(prob, replace(cfg, residual_tol=0.99 * res))
 
 
 def test_archive_round_trip(tmp_path):

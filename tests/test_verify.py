@@ -41,7 +41,7 @@ def make_solution(fn, fz_fn=None, fzbar_fn=None, n=N):
         fzbar = from_function(L, n, fzbar_fn)
     return Solution(
         f=f, fz=fz, fzbar=fzbar, trace=IterationTrace(),
-        normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
+        normalization=Normalization(0j, 1.0, 0.0),
     )
 
 
@@ -97,7 +97,7 @@ def test_residual_corrupted_solution_flagged():
     pair = derivatives(field, method="fd")
     sol = Solution(
         f=field, fz=pair.fz, fzbar=pair.fzbar, trace=IterationTrace(),
-        normalization=Normalization(0j, 1.0, 0.0), residual_l2_rel=0.0,
+        normalization=Normalization(0j, 1.0, 0.0),
     )
     _, norms = residual(sol, builtin_catalog("constant-disk", [0.5]))
     assert norms["l2_rel"] > 1e-1
