@@ -3,13 +3,12 @@
 
 Measures the unit-disk indicator errors of the Cauchy and Beurling
 transforms against their closed forms over a ladder of resolutions and
-prints a convergence table (and optionally a CSV).
+prints a convergence table.
 
-Usage: python scripts/transform_refinement.py [--sizes 128,256,512] [--csv out.csv]
+Usage: python scripts/transform_refinement.py [--sizes 128,256,512]
 """
 
 import argparse
-import csv
 
 import numpy as np
 
@@ -34,10 +33,8 @@ def chi_errors(n):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="128,256,512,1024")
-    parser.add_argument("--csv")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    rows = []
     print(f"{'n':>6} {'err T':>12} {'err S':>12} {'rate T':>8} {'rate S':>8}")
     prev = None
     for n in sizes:
@@ -45,14 +42,7 @@ def main():
         rate_t = np.log2(prev[0] / errT) if prev else float("nan")
         rate_s = np.log2(prev[1] / errS) if prev else float("nan")
         print(f"{n:>6} {errT:>12.4e} {errS:>12.4e} {rate_t:>8.2f} {rate_s:>8.2f}")
-        rows.append({"n": n, "err_T": errT, "err_S": errS})
         prev = (errT, errS)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "err_T", "err_S"])
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {args.csv}")
 
 
 if __name__ == "__main__":

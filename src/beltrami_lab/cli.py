@@ -79,10 +79,37 @@ def _outdir(args, default):
     return out
 
 
-def _save_archive(solution, report, spec, out):
-    """The solution archive with its spec, plus ladder.json."""
+def _solve(spec, cfg, out):
+    """Solve; write the archive with its spec and ladder.json; print one row per rung."""
+    t0 = time.time()
+    solution, report = solve_quasilinear(spec, cfg)
+    elapsed = time.time() - t0
     save_solution(solution, out, extra_meta={"spec": spec_to_dict(spec)})
     _write_json(report, out / "ladder.json", nulls=True)
+    print(f"{'rung':>6} {'outer':>6} {'picard':>7} {'stop':>10} {'d_largest':>12} "
+          f"{'quasi residual':>15}")
+    for row in report.rungs:
+        print(f"{row['rung']:>6} {row['outer_steps']:>6} {row['picard_steps']:>7} "
+              f"{row['stop']:>10} {row['d'][-1]:>12.4e} {row['quasi_residual']:>15.4e}")
+    print(f"solved {spec.label or 'spec'}: final rung {report.final_rung}, "
+          f"residual {report.quasi_residual:.3e}, "
+          f"ladder_converged={report.ladder_converged} ({elapsed:.1f}s)")
+    print(f"archive written to {out}")
+    return solution, report
+
+
+def _verify(solution, spec, out, heatmaps):
+    """Run the verification battery, write verification.json and print its verdicts."""
+    report = verify.verification_report(solution, spec, heatmaps=out if heatmaps else None)
+    _write_json(report, out / "verification.json")
+    print(f"residual {report.residual_l2_rel:.3e} "
+          f"(sup {report.residual_sup:.3e}, degenerate samples {report.degenerate_samples})")
+    print(f"jacobian min {report.jacobian['min']:.3e}, "
+          f"fraction J<=0 {report.jacobian['fraction_nonpositive']:.2%}")
+    print(f"injectivity: {'PASS' if report.injectivity['passed'] else 'FAIL'} "
+          f"({report.injectivity['orientation_flips']} flips, "
+          f"{report.injectivity['folded_cell_count']} overlap bins)")
+    print(f"report written to {out / 'verification.json'}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +139,7 @@ def cmd_analyze(args):
 
 def cmd_solve(args):
     spec = _resolve_spec(args.spec)
-    cfg = _solver_config(args)
-    out = _outdir(args, "solve-out")
-    t0 = time.time()
-    solution, report = solve_quasilinear(spec, cfg)
-    elapsed = time.time() - t0
-    _save_archive(solution, report, spec, out)
-    print(f"solved {spec.label or args.spec}: final rung {report.final_rung}, "
-          f"residual {report.quasi_residual:.3e}, "
-          f"ladder_converged={report.ladder_converged} ({elapsed:.1f}s)")
-    print(f"archive written to {out}")
+    _, report = _solve(spec, _solver_config(args), _outdir(args, "solve-out"))
     return 0 if report.ladder_converged else 3
 
 
@@ -138,16 +156,7 @@ def cmd_verify(args):
         spec = spec_from_dict(meta["spec"])
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
-    report = verify.verification_report(solution, spec, heatmaps=out if args.heatmaps else None)
-    _write_json(report, out / "verification.json")
-    print(f"residual {report.residual_l2_rel:.3e} "
-          f"(sup {report.residual_sup:.3e}, degenerate samples {report.degenerate_samples})")
-    print(f"jacobian min {report.jacobian['min']:.3e}, "
-          f"fraction J<=0 {report.jacobian['fraction_nonpositive']:.2%}")
-    print(f"injectivity: {'PASS' if report.injectivity['passed'] else 'FAIL'} "
-          f"({report.injectivity['orientation_flips']} flips, "
-          f"{report.injectivity['folded_cell_count']} overlap bins)")
-    print(f"report written to {out / 'verification.json'}")
+    _verify(solution, spec, out, args.heatmaps)
     return 0
 
 
@@ -198,27 +207,8 @@ def cmd_example(args):
     if not args.skip_solve:
         spec = builtin_catalog("paper-example-sec4")
         cfg = _solver_config(args, grid_n=128)  # keep the default example under 10 s
-        t0 = time.time()
-        solution, report = solve_quasilinear(spec, cfg)
-        elapsed = time.time() - t0
-        vrep = verify.verification_report(solution, spec, with_inverse=False)
-        results["solve"] = {
-            "grid": cfg.grid_n,
-            "final_rung": report.final_rung,
-            "quasi_residual": report.quasi_residual,
-            "degenerate_samples": report.degenerate_samples,
-            "jacobian_fraction_nonpositive": vrep.jacobian["fraction_nonpositive"],
-            "injectivity_passed": vrep.injectivity["passed"],
-            "folds": vrep.injectivity["folded_cell_count"],
-            "orientation_flips": vrep.injectivity["orientation_flips"],
-        }
-        _save_archive(solution, report, spec, out / "solution")
-        flips = vrep.injectivity["orientation_flips"]
-        print(f"solved the example at n={cfg.grid_n}: residual {report.quasi_residual:.3e}, "
-              f"jacobian fraction J<=0 {vrep.jacobian['fraction_nonpositive']:.2%}, "
-              f"injectivity {vrep.injectivity['folded_cell_count']} folds"
-              + (f" ({flips} sub-resolution flips near the degenerate point)" if flips else "")
-              + f" ({elapsed:.1f}s)")
+        solution, report = _solve(spec, cfg, out / "solution")
+        _verify(solution, spec, out / "solution", heatmaps=False)
         if not report.ladder_converged:
             code = 3
     _write_json(results, out / "example.json")

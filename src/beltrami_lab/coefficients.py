@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EllipticityViolation, ParamOutOfRange, UnknownCatalogEntry
+from .errors import EllipticityViolation, ParamOutOfRange, ParseError, UnknownCatalogEntry
 from .expressions import (
     COEFFICIENT_VARIABLES,
     ZERO,
@@ -226,8 +226,10 @@ def read_key_values(path) -> dict:
 
 
 def load_spec_file(path) -> CoefficientSpec:
+    """Read a spec file; a bad value or expression keeps its error type and names the file."""
     fields = read_key_values(path)
     try:
         return spec_from_dict(fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except (ValueError, ParseError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

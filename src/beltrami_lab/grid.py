@@ -120,7 +120,7 @@ def from_function(L: float, n: int, fn) -> GridField:
 
 
 def load(path) -> GridField:
-    """Read a BLGF file; a ValueError names the file if it is not one."""
+    """Read a BLGF file; a ValueError names the file if it is not a valid grid."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         payload = fh.read()
@@ -132,7 +132,10 @@ def load(path) -> GridField:
     if len(payload) != 16 * n * n:
         raise ValueError(f"{path}: {len(payload)} bytes of samples, not 16*{n}^2")
     data = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    return GridField(L, data.astype(complex))
+    try:
+        return GridField(L, data.astype(complex))
+    except ValueError as exc:  # a whole header can still describe no valid grid
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

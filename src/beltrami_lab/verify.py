@@ -295,9 +295,10 @@ class VerificationReport:
     inverse: dict = field(default_factory=dict)
 
 
-def verification_report(solution: Solution, spec: CoefficientSpec, with_inverse: bool = True,
+def verification_report(solution: Solution, spec: CoefficientSpec,
                         heatmaps=None) -> VerificationReport:
-    """Full verification battery: residual, Jacobian, injectivity, inverse audit at p = 2.
+    """Full verification battery: residual, Jacobian, injectivity, and the inverse
+    audit at p = 2 whenever injectivity passes.
 
     With a directory `heatmaps`, |residual| and J are also written there as
     residual.ppm and jacobian.ppm, from the same grids the report reads.
@@ -313,7 +314,7 @@ def verification_report(solution: Solution, spec: CoefficientSpec, with_inverse:
             solution, spec, None if heatmaps is None else Path(heatmaps) / "jacobian.ppm"),
         injectivity=injectivity_check(solution),
     )
-    if with_inverse and report.injectivity["passed"]:
+    if report.injectivity["passed"]:
         report.inverse = inverse_dilatation_audit(solution, spec, p=2.0,
                                                   injectivity=report.injectivity)
     return report

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,32 @@ def test_analyze_loads_scipy_integrate_on_its_first_quadrature(tmp_path):
     assert "scipy.integrate" in loaded
 
 
+def test_solve_prints_one_row_per_ladder_row(tmp_path, capsys):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(["solve", "--spec", "paper-example-sec4", "--grid", "32", "--ladder", "2,4,8",
+                "--ladder-tol", "1e-12", "--out", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["rung", "outer", "picard", "stop"]
+    assert "quasi residual" in lines[0]
+    rungs = json.loads((out / "ladder.json").read_text())["rungs"]
+    printed = [line.split()[:4] for line in lines[1:1 + len(rungs)]]
+    assert printed == [[str(row["rung"]), str(row["outer_steps"]), str(row["picard_steps"]),
+                        row["stop"]] for row in rungs]
+    assert lines[1 + len(rungs)].startswith("solved paper-example-sec4: final rung 8,")
+
+
+def test_example_verifies_its_archive_as_verify_does(tmp_path):
+    ex = tmp_path / "ex"
+    assert run(["example", "--grid", "32", "--ladder", "2,4", "--out", str(ex)]) == 3
+    assert "solve" not in json.loads((ex / "example.json").read_text())
+    assert run(["verify", "--archive", str(ex / "solution"), "--out", str(tmp_path / "v")]) == 0
+    report = (ex / "solution" / "verification.json").read_bytes()
+    assert report == (tmp_path / "v" / "verification.json").read_bytes()
+    # injectivity passes at this size, so the example runs the inverse audit too
+    assert json.loads(report)["inverse"]["p"] == 2.0
+
+
 def test_example_archive_has_the_solve_meta_keys(tmp_path):
     assert run(["example", "--grid", "32", "--ladder", "2,4",
                 "--out", str(tmp_path / "ex")]) in (0, 3)
@@ -421,7 +448,7 @@ def test_every_report_is_standard_json_in_one_format(tmp_path):
     assert run(["example", "--grid", "32", "--ladder", "2,4",
                 "--out", str(tmp_path / "ex")]) in (0, 3)
     paths = sorted(tmp_path.rglob("*.json"))
-    assert len(paths) == 7
+    assert len(paths) == 8
     for path in paths:
         assert path.read_text() == json.dumps(_strict(path), indent=2, sort_keys=True)
     assert _strict(out / "ladder.json")["rungs"][0]["d"] == [None, None, None]
@@ -544,8 +571,10 @@ def test_bad_input_exits_1(argv, message, tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ('mu = "0.5"\nsupport_radius = 0\n', "{path}: support_radius must be positive"),
     ("support_radius = 1\n", "{path}: spec missing keys ['mu']"),
-    ('mu = "0.5+1/1e999"\nsupport_radius = 1\n', "number '1e999' overflows a float (offset 6)"),
-], ids=["zero-support", "no-mu", "overflow"])
+    ('mu = "0.5+1/1e999"\nsupport_radius = 1\n',
+     "{path}: number '1e999' overflows a float (offset 6)"),
+    ('mu = "0.5+q"\nsupport_radius = 1\n', "{path}: unknown identifier 'q' (offset 4)"),
+], ids=["zero-support", "no-mu", "overflow", "unknown-identifier"])
 def test_bad_spec_file_exits_1_before_any_archive(text, message, tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
@@ -599,7 +628,10 @@ def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
     lambda data: data[:10],
     lambda data: data[:-16],
     lambda data: data + data[16:],
-], ids=["header", "short-payload", "long-payload"])
+    # a whole header and payload that describe no valid grid
+    lambda data: b"BLGF" + struct.pack("<Id", 12, 2.0) + bytes(16 * 12 * 12),
+    lambda data: data[:16] + np.array([np.nan], "<c16").tobytes() + data[32:],
+], ids=["header", "short-payload", "long-payload", "n-12", "nan-sample"])
 def test_malformed_grid_file_exits_1(cut, archive, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,31 @@ def test_binary_round_trip(tmp_path):
     assert raw[:4] == b"BLGF"
     assert int.from_bytes(raw[4:8], "little") == 32
     assert len(raw) == 16 + 32 * 32 * 16
+
+
+def _blgf(n, L, data):
+    """A BLGF file's bytes, written without GridField's checks."""
+    return b"BLGF" + struct.pack("<Id", n, L) + np.asarray(data, "<c16").tobytes()
+
+
+def _one_nan(n):
+    data = np.zeros((n, n), complex)
+    data[3, 5] = np.nan
+    return data
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_blgf(12, 2.0, np.zeros((12, 12))), "grid size must be a power of two >= 16, got 12"),
+    (_blgf(16, 0.0, np.zeros((16, 16))), "box half-side must be positive, got 0.0"),
+    (_blgf(16, 2.0, _one_nan(16)), "grid samples must all be finite"),
+], ids=["n-12", "L-0", "nan-sample"])
+def test_load_names_the_file_of_an_invalid_grid(raw, message, tmp_path):
+    # the header is whole and the payload has its length; the grid it describes is not valid
+    path = tmp_path / "bad.blgf"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_bilinear_interp_exact_on_bilinear_data():
