@@ -17,7 +17,7 @@ import argparse
 import itertools
 import time
 
-from beltrami_lab.coefficients import CoefficientSpec, parse_coefficient_expr
+from beltrami_lab.coefficients import CoefficientSpec
 from beltrami_lab.quasilinear import SolverConfig, solve_quasilinear
 
 AMPLITUDES = (0.3, 0.5, 0.6)
@@ -29,7 +29,7 @@ def family():
     """The scan's specs, labelled by their mu formula."""
     for a, b, g in itertools.product(AMPLITUDES, FREQUENCIES, PHASES):
         mu = f"{a}*exp(i*{b}*{g})"
-        yield CoefficientSpec(mu_expr=parse_coefficient_expr(mu), label=mu)
+        yield CoefficientSpec(mu=mu, label=mu)
 
 
 def main():

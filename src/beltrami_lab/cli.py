@@ -33,7 +33,10 @@ def _resolve_spec(name_or_path):
     """Catalog entry ("constant-disk:0.5"), bare entry, or spec file path."""
     base, _, param_str = str(name_or_path).partition(":")
     if base in CATALOG:
-        params = [float(x) for x in param_str.split(",")] if param_str else []
+        try:
+            params = _floats(param_str) if param_str else ()
+        except ValueError as exc:  # a parameter that is not a number
+            raise ConfigError(f"spec {name_or_path!r}: {exc}") from None
         return builtin_catalog(base, params)
     path = Path(name_or_path)
     if path.exists():
@@ -153,7 +156,7 @@ def cmd_verify(args):
     if args.spec:
         spec = _resolve_spec(args.spec)
     elif "spec" in meta:
-        spec = spec_from_dict(meta["spec"])
+        spec = spec_from_dict(meta["spec"], source=src / "meta.json")
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
     _verify(solution, spec, out, args.heatmaps)
@@ -267,7 +270,8 @@ def build_parser():
     p.add_argument("--spec", required=True, help="catalog name or spec file path")
     p.add_argument("--Q", default="1", help="maximal-dilatation majorant expression in z, r, theta")
     p.add_argument("--Q1", default="1", help="tangential majorant expression")
-    p.add_argument("--z0", nargs="+", default=["0"], help="probe points, e.g. 0 0.5+0.1j")
+    p.add_argument("--z0", nargs="+", type=complex, default=[0j],
+                   help="probe points, e.g. 0 0.5+0.1j")
     p.add_argument("--w-max", type=float, default=100.0, help="largest |w| in the bound sampling")
     p.set_defaults(func=cmd_analyze)
 

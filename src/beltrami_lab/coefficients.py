@@ -1,7 +1,8 @@
 """Two-characteristic coefficient specifications mu(z, w), nu(z, w).
 
-A CoefficientSpec bundles expression trees for both characteristics and
-a compact support radius; both vanish outside |z| <= support_radius.
+A CoefficientSpec holds the formula text of both characteristics, parsed
+once into expression trees, and a compact support radius; both vanish
+outside |z| <= support_radius.
 Every grid sampling reads one cached index of the support samples and
 evaluates the expressions there only. `truncate` cuts sampled
 coefficients down to a rung n: by K it zeroes them wherever their own
@@ -16,20 +17,14 @@ propagate; callers mask or truncate degenerate samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import EllipticityViolation, ParamOutOfRange, ParseError, UnknownCatalogEntry
-from .expressions import (
-    COEFFICIENT_VARIABLES,
-    ZERO,
-    evaluate,
-    format_expression,
-    parse_expression,
-    standard_env,
-)
+from .expressions import COEFFICIENT_VARIABLES, evaluate, parse_expression, standard_env
 from .grid import coordinates
 
 
@@ -40,16 +35,25 @@ def parse_coefficient_expr(text: str):
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Evaluable description of the pair (mu, nu) with its support."""
+    """The pair (mu, nu) as formula text, with its support; each text is
+    parsed once, into mu_expr and nu_expr."""
 
-    mu_expr: object
-    nu_expr: object = ZERO
+    mu: str
+    nu: str = "0"
     support_radius: float = 1.0
     label: str = ""
+    mu_expr: object = field(init=False, compare=False, repr=False)
+    nu_expr: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.support_radius <= 0:
-            raise ValueError("support_radius must be positive")
+        for key in ("mu", "nu"):
+            text = getattr(self, key)
+            if not isinstance(text, str):
+                raise ValueError(f"{key} must be text, not {type(text).__name__} {text!r}")
+            object.__setattr__(self, f"{key}_expr", parse_coefficient_expr(text))
+        if not 0 < self.support_radius < math.inf:
+            raise ValueError(f"support_radius must be positive and finite, "
+                             f"got {self.support_radius!r}")
 
 
 def coefficient_fields(spec: CoefficientSpec, z, w):
@@ -174,28 +178,38 @@ def builtin_catalog(name: str, params=()) -> CoefficientSpec:
 # solution archives and, as key = value text, into spec files
 
 def spec_to_dict(spec: CoefficientSpec) -> dict:
-    """The label, printed mu and nu, and support radius of a spec."""
+    """The label, mu and nu as written, and support radius of a spec."""
     return {
         "label": spec.label,
-        "mu": format_expression(spec.mu_expr),
-        "nu": format_expression(spec.nu_expr),
+        "mu": spec.mu,
+        "nu": spec.nu,
         "support_radius": spec.support_radius,
     }
 
 
-def spec_from_dict(fields: dict) -> CoefficientSpec:
-    """Inverse of spec_to_dict; nu defaults to 0 and label to empty."""
-    if not isinstance(fields, dict):
-        raise ValueError(f"spec is a {type(fields).__name__}, not a table of keys")
-    missing = {"mu", "support_radius"} - fields.keys()
-    if missing:
-        raise ValueError(f"spec missing keys {sorted(missing)}")
-    return CoefficientSpec(
-        mu_expr=parse_coefficient_expr(fields["mu"]),
-        nu_expr=parse_coefficient_expr(fields.get("nu", "0")),
-        support_radius=float(fields["support_radius"]),
-        label=fields.get("label", ""),
-    )
+def spec_from_dict(fields: dict, source=None) -> CoefficientSpec:
+    """Inverse of spec_to_dict; nu defaults to 0 and label to empty.
+
+    A bad value or expression keeps its error type and, given the
+    `source` it was read from, names it.
+    """
+    try:
+        if not isinstance(fields, dict):
+            raise ValueError(f"spec is a {type(fields).__name__}, not a table of keys")
+        missing = {"mu", "support_radius"} - fields.keys()
+        if missing:
+            raise ValueError(f"spec missing keys {sorted(missing)}")
+        radius = fields["support_radius"]
+        try:
+            radius = float(radius)
+        except (TypeError, ValueError):
+            raise ValueError(f"support_radius must be a number, not {radius!r}") from None
+        return CoefficientSpec(mu=fields["mu"], nu=fields.get("nu", "0"),
+                               support_radius=radius, label=fields.get("label", ""))
+    except (ValueError, ParseError) as exc:
+        if source is not None:
+            exc.args = (f"{source}: {exc}",)
+        raise
 
 
 def save_spec_file(spec: CoefficientSpec, path):
@@ -227,9 +241,4 @@ def read_key_values(path) -> dict:
 
 def load_spec_file(path) -> CoefficientSpec:
     """Read a spec file; a bad value or expression keeps its error type and names the file."""
-    fields = read_key_values(path)
-    try:
-        return spec_from_dict(fields)
-    except (ValueError, ParseError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    return spec_from_dict(read_key_values(path), source=path)

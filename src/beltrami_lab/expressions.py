@@ -20,8 +20,8 @@ binary operator, unary minus, function call and parenthesised group is
 a level. So `z` has depth 1, `(z)` and `z+z` depth 2, and a chain
 `z+z+...+z` of n terms depth n. An expression deeper than MAX_DEPTH =
 100 is refused with ParseError at the offset of the token that crosses
-the limit, so every accepted tree can be evaluated, printed and walked
-by recursion.
+the limit, so every accepted tree can be evaluated and walked by
+recursion.
 
 Evaluation is numpy-vectorised over complex arrays with IEEE semantics:
 a division by zero or an overflow gives inf or nan, which propagates and
@@ -72,9 +72,6 @@ class BinOp:
 class Func:
     name: str
     arg: object
-
-
-ZERO = Num(0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ class _Parser:
         kind, val, off = self.take()
         if kind == "num":
             value = float(val)
-            if not math.isfinite(value):  # 1e999: its printed form, inf, would not parse back
+            if not math.isfinite(value):  # no float holds 1e999; inf is another number
                 raise ParseError(f"number {val!r} overflows a float", off)
             return Num(complex(value)), 1
         if kind == "name":
@@ -259,65 +256,6 @@ def free_variables(node) -> frozenset:
     if isinstance(node, BinOp):
         return free_variables(node.left) | free_variables(node.right)
     return frozenset()  # a Num
-
-
-# ---------------------------------------------------------------------------
-# printer
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
-        return _PRECEDENCE["neg"]
-    return 5
-
-
-def _fmt_num(v: complex) -> str:
-    # negative and complex literals print in a parenthesised, reparseable form
-    if v == 1j:
-        return "i"
-    if v.imag == 0.0:
-        re = v.real
-        return f"{re:.17g}" if re >= 0 else f"(0-{-re:.17g})"
-    re, im = v.real, v.imag
-    res = f"{re:.17g}" if re >= 0 else f"0-{-re:.17g}"
-    ims = f"+{im:.17g}*i" if im >= 0 else f"-{-im:.17g}*i"
-    return f"({res}{ims})"
-
-
-def format_expression(node) -> str:
-    """Render a tree back to parseable text; parse(format(t)) evaluates like t.
-
-    A tree the parser made comes back as the same tree, with no group the
-    parsed text did not have, so it is no deeper than that text.
-    """
-    if isinstance(node, Num):
-        return _fmt_num(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Func):
-        return f"{node.name}({format_expression(node.arg)})"
-    if isinstance(node, Neg):
-        inner = format_expression(node.arg)
-        if _prec(node.arg) < _PRECEDENCE["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        lhs = format_expression(node.left)
-        rhs = format_expression(node.right)
-        p = _PRECEDENCE[node.op]
-        # left operand needs parens below own precedence, and ^'s base at it too;
-        # the right operand also at equal precedence, so the chains keep their
-        # grouping, except the exponent: a factor, which may be -x or x^y
-        if _prec(node.left) < p or (node.op == "^" and _prec(node.left) <= p):
-            lhs = f"({lhs})"
-        if _prec(node.right) < (_PRECEDENCE["neg"] if node.op == "^" else p + 1):
-            rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

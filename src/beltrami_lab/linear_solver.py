@@ -252,22 +252,37 @@ def load_solution(indir) -> Solution:
     path = src / "meta.json"
     meta = json.loads(path.read_text())
 
-    def field(where):
-        return _meta_field(meta, where, path)
+    def field(where, what, ok):
+        return _meta_field(meta, where, path, what, ok)
 
-    norm = Normalization(complex(*field("normalization/translation")),
-                         field("normalization/scale"), field("normalization/arg_f1"))
+    translation = field("normalization/translation", "a pair of numbers",
+                        lambda v: _numbers(v) and len(v) == 2)
+    norm = Normalization(
+        complex(*translation),
+        field("normalization/scale", "a positive number", lambda v: _is_number(v) and v > 0),
+        field("normalization/arg_f1", "a number", _is_number),
+    )
     return Solution(
         f=grid.load(src / "f.blgf"),
         fz=grid.load(src / "fz.blgf"),
         fzbar=grid.load(src / "fzbar.blgf"),
-        trace=IterationTrace(update_norms=field("trace/update_norms")),
+        trace=IterationTrace(update_norms=field("trace/update_norms", "a list of numbers",
+                                                _numbers)),
         normalization=norm,
     )
 
 
-def _meta_field(meta, where, path):
-    """The value at `where` ("trace/update_norms"); a ValueError names the file and bad key."""
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _meta_field(meta, where, path, what, ok):
+    """The value at `where` ("trace/update_norms"), which must pass ok(value)
+    and be `what`; a ValueError names the file and bad key."""
     keys = where.split("/")
     for i, key in enumerate(keys):
         if not isinstance(meta, dict):
@@ -276,4 +291,6 @@ def _meta_field(meta, where, path):
         if key not in meta:
             raise ValueError(f"{path}: no key {'/'.join(keys[:i + 1])!r}")
         meta = meta[key]
+    if not ok(meta):
+        raise ValueError(f"{path}: {where} is {meta!r:.40}, not {what}")
     return meta

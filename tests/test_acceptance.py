@@ -16,7 +16,6 @@ from beltrami_lab.coefficients import (
     CoefficientSpec,
     builtin_catalog,
     coefficient_fields,
-    parse_coefficient_expr,
     truncate,
 )
 from beltrami_lab.dilatation import (
@@ -327,7 +326,7 @@ def test_criterion_8_negative_controls():
 
     try:
         solve_quasilinear(
-            CoefficientSpec(mu_expr=parse_coefficient_expr("1.2"), label="degenerate"),
+            CoefficientSpec(mu="1.2", label="degenerate"),
             SolverConfig(grid_n=64, box=L, ladder=(2, 4)),
         )
         ok_reject = False

@@ -557,7 +557,7 @@ def _exits_1(argv, capsys, message):
     (["analyze", "--Q", "3 $"], "unexpected character '$' (offset 2)"),
     (["analyze", "--Q", "(3"], "expected ')', found 'end of input' (offset 2)"),
     (["analyze", "--Q", "3 3"], "trailing input '3' (offset 2)"),
-    # 1e999 would print back as inf, which no later parse could read
+    # no float holds 1e999, and inf would be another number than the one written
     (["analyze", "--Q", "1e999"], "number '1e999' overflows a float (offset 0)"),
     (["analyze", "--Q", "3", "--Q1", "3", "--z0", "0.999"],
      "eps ladder must reach at least 5 values below delta"),
@@ -574,13 +574,32 @@ def test_bad_input_exits_1(argv, message, tmp_path, capsys):
     ('mu = "0.5+1/1e999"\nsupport_radius = 1\n',
      "{path}: number '1e999' overflows a float (offset 6)"),
     ('mu = "0.5+q"\nsupport_radius = 1\n', "{path}: unknown identifier 'q' (offset 4)"),
-], ids=["zero-support", "no-mu", "overflow", "unknown-identifier"])
+    # nan passes a `<= 0` test, and an infinite support never fits in the box
+    ('mu = "0.5"\nsupport_radius = nan\n',
+     "{path}: support_radius must be positive and finite, got nan"),
+    ('mu = "0.5"\nsupport_radius = inf\n',
+     "{path}: support_radius must be positive and finite, got inf"),
+], ids=["zero-support", "no-mu", "overflow", "unknown-identifier", "nan-support", "inf-support"])
 def test_bad_spec_file_exits_1_before_any_archive(text, message, tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
     _exits_1(["solve", "--spec", str(spec), "--grid", "32", "--out", str(tmp_path / "run")],
              capsys, message.format(path=spec))
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--spec", "constant-disk:0.5", "--z0", "abc"],
+     "argument --z0: invalid complex value: 'abc'"),
+    (["solve", "--spec", "constant-disk:abc"],
+     "spec 'constant-disk:abc': could not convert string to float: 'abc'"),
+], ids=["z0", "catalog-parameter"])
+def test_bad_cli_value_names_its_input(argv, message, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    # a usage error prints the usage lines first; the last line is the error
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error:") and last.endswith(message)
 
 
 def _drop_normalization(meta):
@@ -603,13 +622,34 @@ def _drop_spec(meta):
     del meta["spec"]
 
 
+def _spec_mu_as_number(meta):
+    meta["spec"]["mu"] = 0.5
+
+
+def _spec_support_null(meta):
+    meta["spec"]["support_radius"] = None
+
+
+def _translation_as_number(meta):
+    meta["normalization"]["translation"] = 5
+
+
+def _scale_as_text(meta):
+    meta["normalization"]["scale"] = "x"
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_normalization, "meta.json: no key 'normalization'"),
     (_drop_spec_mu, "spec missing keys ['mu']"),
     (_trace_as_list, "meta.json: trace is a list, not an object"),
     (_spec_as_text, "spec is a str, not a table of keys"),
     (_drop_spec, "archive has no embedded spec; pass --spec"),
-], ids=["no-normalization", "spec-without-mu", "trace-list", "spec-text", "no-spec"])
+    (_spec_mu_as_number, "meta.json: mu must be text, not float 0.5"),
+    (_spec_support_null, "meta.json: support_radius must be a number, not None"),
+    (_translation_as_number, "meta.json: normalization/translation is 5, not a pair of numbers"),
+    (_scale_as_text, "meta.json: normalization/scale is 'x', not a positive number"),
+], ids=["no-normalization", "spec-without-mu", "trace-list", "spec-text", "no-spec",
+        "spec-mu-number", "spec-support-null", "translation-number", "scale-text"])
 def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "32", "--ladder", "2,4,8",
@@ -640,6 +680,34 @@ def test_malformed_grid_file_exits_1(cut, archive, tmp_path, capsys):
     grid_file = out / "f.blgf"
     grid_file.write_bytes(cut(grid_file.read_bytes()))
     _exits_1(["verify", "--archive", str(out)], capsys, f"error: {grid_file}: ")
+
+
+# ---------------------------------------------------------------------------
+# an archive holds the spec text that was parsed
+
+def test_archive_holds_the_spec_text_as_written(tmp_path):
+    mu = "0.9 / (1 + abs(w)^2)"
+    spec = tmp_path / "damped.spec"
+    spec.write_text(f'mu = "{mu}"\nsupport_radius = 1\n')
+    flags = ["--grid", "32", "--ladder", "2,4"]
+    file_run, catalog_run = tmp_path / "file", tmp_path / "catalog"
+    assert run(["solve", "--spec", str(spec), *flags, "--out", str(file_run)]) == 3
+    assert run(["solve", "--spec", "w-damped-disk:0.9", *flags, "--out", str(catalog_run)]) == 3
+    assert json.loads((file_run / "meta.json").read_text())["spec"]["mu"] == mu
+    for name in ("f.blgf", "fz.blgf", "fzbar.blgf"):
+        assert (file_run / name).read_bytes() == (catalog_run / name).read_bytes()
+    assert run(["verify", "--archive", str(file_run)]) == 0
+
+
+def test_deepest_accepted_spec_solves_and_verifies(tmp_path):
+    mu = "-" * 98 + "z*(z*z)"  # mu = z^3, 100 levels deep
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f'mu = "{mu}"\nsupport_radius = 1\n')
+    out = tmp_path / "run"
+    assert run(["solve", "--spec", str(spec), "--grid", "32", "--ladder", "2,4",
+                "--out", str(out)]) == 3
+    assert json.loads((out / "meta.json").read_text())["spec"]["mu"] == mu
+    assert run(["verify", "--archive", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------

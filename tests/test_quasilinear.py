@@ -9,7 +9,6 @@ from beltrami_lab.coefficients import (
     CoefficientSpec,
     builtin_catalog,
     coefficient_fields,
-    parse_coefficient_expr,
     rung_bound,
     truncate,
 )
@@ -162,7 +161,7 @@ def test_toy_w_dependent_outer_contraction():
 
 
 def test_degenerate_spec_rejected():
-    spec = CoefficientSpec(mu_expr=parse_coefficient_expr("1.2"), label="too-big")
+    spec = CoefficientSpec(mu="1.2", label="too-big")
     with pytest.raises(NotContractive):
         solve_quasilinear(spec, FAST)
 
@@ -189,7 +188,7 @@ def test_round_off_degenerate_sample_excluded():
     # so without a margin the sample (K ~ 1e16) counted as elliptic and
     # dominated the residual
     spec = CoefficientSpec(
-        mu_expr=parse_coefficient_expr("exp(i*(theta+0.005))*(1-r-abs(w))/(1+r+abs(w))"),
+        mu="exp(i*(theta+0.005))*(1-r-abs(w))/(1+r+abs(w))",
         label="sec4-phase-shifted",
     )
     _, report = solve_quasilinear(spec, SolverConfig(grid_n=64, box=L))
@@ -256,7 +255,7 @@ def test_stop_records_cap_and_stall():
 def test_rising_updates_end_the_rung_stalled():
     # a strongly w-dependent phase makes the outer updates rise for five
     # steps in a row at the smallest damping; the rung ends stalled
-    spec = CoefficientSpec(mu_expr=parse_coefficient_expr("0.6*exp(i*16*re(w))"), label="wild")
+    spec = CoefficientSpec(mu="0.6*exp(i*16*re(w))", label="wild")
     _, report = solve_quasilinear(spec, SolverConfig(grid_n=32, box=L, ladder=(4, 8)))
     assert [row["stop"] for row in report.rungs] == ["stalled", "stalled"]
     assert not report.ladder_converged
@@ -266,7 +265,7 @@ def test_stalled_rung_reports_the_map_it_ends_on():
     # both rungs stall; rung 8's d must be the distance between the map the
     # ladder returns and the map of the same ladder cut at rung 4, not the
     # distance between iterates the stalled rungs did not end on
-    spec = CoefficientSpec(mu_expr=parse_coefficient_expr("0.5*exp(i*8*im(w))"))
+    spec = CoefficientSpec(mu="0.5*exp(i*8*im(w))")
     cfg = SolverConfig(grid_n=32, box=L, ladder=(4, 8))
     sol, report = solve_quasilinear(spec, cfg)
     cut, _ = solve_quasilinear(spec, replace(cfg, ladder=(4,)))
@@ -302,7 +301,7 @@ def solves_by_rung(calls, report):
 @pytest.mark.parametrize("stop, spec, cfg", [
     ("tol", builtin_catalog("w-damped-disk", [0.5]),
      SolverConfig(grid_n=64, box=L, ladder=(2, 4))),
-    ("stalled", CoefficientSpec(mu_expr=parse_coefficient_expr("0.6*exp(i*16*re(w))")),
+    ("stalled", CoefficientSpec(mu="0.6*exp(i*16*re(w))"),
      SolverConfig(grid_n=32, box=L, ladder=(4, 8))),
     ("max_outer", builtin_catalog("paper-example-sec4"),
      SolverConfig(grid_n=64, box=L, ladder=(2, 4), max_outer=2)),
@@ -329,8 +328,7 @@ def test_rung_solves_start_cold_and_end_at_inner_tol(stop, spec, cfg, monkeypatc
 
 @pytest.mark.parametrize("spec", [
     builtin_catalog("radial-power", [0.9, 1]),
-    CoefficientSpec(mu_expr=parse_coefficient_expr("0.3*exp(i*theta)"),
-                    nu_expr=parse_coefficient_expr("0.2*r"), label="w-free"),
+    CoefficientSpec(mu="0.3*exp(i*theta)", nu="0.2*r", label="w-free"),
 ], ids=["radial-power", "mu-and-nu"])
 def test_w_independent_first_solve_is_cold_at_inner_tol(spec, monkeypatch):
     # the frozen coefficients repeat at once, so the first solve of each rung
@@ -353,8 +351,7 @@ def test_w_independent_first_solve_is_cold_at_inner_tol(spec, monkeypatch):
     ("0.4*exp(i*re(w)^2)", "0", True),
 ])
 def test_reads_w(mu, nu, reads):
-    spec = CoefficientSpec(mu_expr=parse_coefficient_expr(mu),
-                           nu_expr=parse_coefficient_expr(nu))
+    spec = CoefficientSpec(mu=mu, nu=nu)
     assert quasilinear._reads_w(spec) is reads
 
 
@@ -436,7 +433,7 @@ def test_w_scan_verdicts_mean_what_they_say(mu, monkeypatch):
 
     monkeypatch.setattr(quasilinear, "frozen_coefficient_fields", sampled)
     calls = spy_solves(monkeypatch)
-    spec = CoefficientSpec(mu_expr=parse_coefficient_expr(mu))
+    spec = CoefficientSpec(mu=mu)
     cfg = SolverConfig(grid_n=32, box=L, ladder=(4, 8))
     sol, report = solve_quasilinear(spec, cfg)
     # a rung stopped at tol either sampled the coefficients it had just solved

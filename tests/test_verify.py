@@ -7,7 +7,6 @@ from beltrami_lab.coefficients import (
     CoefficientSpec,
     builtin_catalog,
     coefficient_fields,
-    parse_coefficient_expr,
 )
 from beltrami_lab.dilatation import elliptic_mask
 from beltrami_lab.errors import EmptyCompact, NotInvertible
@@ -46,7 +45,7 @@ def make_solution(fn, fz_fn=None, fzbar_fn=None, n=N):
 
 
 def zero_spec():
-    return CoefficientSpec(mu_expr=parse_coefficient_expr("0"), label="zero")
+    return CoefficientSpec(mu="0", label="zero")
 
 
 def affine_solution(k=0.5, n=N):
@@ -382,7 +381,7 @@ def test_continuity_fit_affine_close_to_identity():
 
 
 def test_continuity_fit_reads_the_spec_support():
-    small = CoefficientSpec(mu_expr=parse_coefficient_expr("0"), support_radius=0.4)
+    small = CoefficientSpec(mu="0", support_radius=0.4)
     with pytest.raises(EmptyCompact):
         continuity_modulus_fit(affine_solution(0.5), small, 2 * np.pi, margin=0.5)
 
