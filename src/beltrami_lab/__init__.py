@@ -12,7 +12,6 @@ from .coefficients import (
     builtin_catalog,
     eval_coefficients,
     load_spec_file,
-    parse_coefficient_expr,
     save_spec_file,
     rung_bound,
     truncate,

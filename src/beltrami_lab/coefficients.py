@@ -24,19 +24,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EllipticityViolation, ParamOutOfRange, ParseError, UnknownCatalogEntry
-from .expressions import COEFFICIENT_VARIABLES, evaluate, parse_expression, standard_env
+from .expressions import evaluate, parse_expression, standard_env
 from .grid import coordinates
-
-
-def parse_coefficient_expr(text: str):
-    """Parse a coefficient expression over the variables {z, w, r, theta}."""
-    return parse_expression(text, COEFFICIENT_VARIABLES)
 
 
 @dataclass(frozen=True)
 class CoefficientSpec:
     """The pair (mu, nu) as formula text, with its support; each text is
-    parsed once, into mu_expr and nu_expr."""
+    parsed once, over the variables z, w, r and theta, into mu_expr and nu_expr."""
 
     mu: str
     nu: str = "0"
@@ -50,7 +45,7 @@ class CoefficientSpec:
             text = getattr(self, key)
             if not isinstance(text, str):
                 raise ValueError(f"{key} must be text, not {type(text).__name__} {text!r}")
-            object.__setattr__(self, f"{key}_expr", parse_coefficient_expr(text))
+            object.__setattr__(self, f"{key}_expr", parse_expression(text))
         if not 0 < self.support_radius < math.inf:
             raise ValueError(f"support_radius must be positive and finite, "
                              f"got {self.support_radius!r}")

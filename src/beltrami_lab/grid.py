@@ -83,20 +83,7 @@ class GridField:
 
     def interp(self, points):
         """Bilinear interpolation at complex points inside the box."""
-        pts = np.asarray(points, dtype=complex)
-        x = (pts.real + self.L) / self.h
-        y = (pts.imag + self.L) / self.h
-        k0 = np.clip(np.floor(x).astype(int), 0, self.n - 2)
-        j0 = np.clip(np.floor(y).astype(int), 0, self.n - 2)
-        tx = x - k0
-        ty = y - j0
-        d = self.data
-        return (
-            (1 - ty) * (1 - tx) * d[j0, k0]
-            + (1 - ty) * tx * d[j0, k0 + 1]
-            + ty * (1 - tx) * d[j0 + 1, k0]
-            + ty * tx * d[j0 + 1, k0 + 1]
-        )
+        return bilinear(self.data, self.L, points)
 
     def norm_l2(self) -> float:
         """Area-weighted L2 norm, sqrt(sum |f|^2 h^2)."""
@@ -108,6 +95,25 @@ class GridField:
             fh.write(struct.pack("<I", self.n))
             fh.write(struct.pack("<d", self.L))
             fh.write(self.data.astype("<c16").tobytes(order="C"))
+
+
+def bilinear(data: np.ndarray, L: float, points):
+    """Bilinear interpolation of the samples of the (L, n) grid at complex points inside the box."""
+    n = data.shape[0]
+    h = 2.0 * L / n
+    pts = np.asarray(points, dtype=complex)
+    x = (pts.real + L) / h
+    y = (pts.imag + L) / h
+    k0 = np.clip(np.floor(x).astype(int), 0, n - 2)
+    j0 = np.clip(np.floor(y).astype(int), 0, n - 2)
+    tx = x - k0
+    ty = y - j0
+    return (
+        (1 - ty) * (1 - tx) * data[j0, k0]
+        + (1 - ty) * tx * data[j0, k0 + 1]
+        + ty * (1 - tx) * data[j0 + 1, k0]
+        + ty * tx * data[j0 + 1, k0 + 1]
+    )
 
 
 def zeros(L: float, n: int) -> GridField:

@@ -10,11 +10,14 @@ ansatz turns the equation into
 a contraction on L2 with factor k = sup(|mu| + |nu|) < 1 because S is an
 isometry, so Picard iteration converges geometrically from any start:
 omega = 0 by default, or a given iterate (the quasilinear outer loop
-passes the previous solve's raw omega). Only the first step checks its
-input; later steps run on arrays that vanish outside the coefficients'
-support box, with S formed only on that box. The assembled solution carries
-its derivative grids from the ansatz relations f_z = 1 + S omega,
-f_zbar = omega (spectrally exact), and is normalised to f(0) = 0,
+passes the previous solve's raw omega). As S 0 = 0, the first step from
+omega = 0 is mu + nu and takes no transform. The first transform checks
+its input; later steps run on arrays that vanish outside the
+coefficients' support box, with S formed only on that box. The
+assembled solution carries its derivative grids from the ansatz
+relations f_z = 1 + S omega, f_zbar = omega (spectrally exact); a solve
+looser than inner_tol, which only steers the quasilinear outer loop,
+forms no f_z. The map is normalised to f(0) = 0,
 |f(1)| = 1: translation and positive real scaling preserve the equation
 exactly, while the rotation that would pin arg f(1) = 0 would conjugate
 nu, so only arg f(1) is reported.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +100,13 @@ class Normalization:
 
 @dataclass
 class Solution:
-    """The normalised map and its derivative grids, the solve's trace and normalization."""
+    """The normalised map and its derivative grids, the solve's trace and normalization.
+
+    fz is None only for a solve looser than inner_tol: the outer loop reads
+    such a solve's f and raw omega alone, and never returns or archives it."""
 
     f: GridField
-    fz: GridField
+    fz: GridField | None
     fzbar: GridField
     trace: IterationTrace
     normalization: Normalization
@@ -125,21 +132,38 @@ def picard_step(omega: GridField | np.ndarray, prob: LinearProblem) -> np.ndarra
     return out
 
 
-def normalize_solution(f, fz, fzbar, L):
-    """Pin f(0) = 0 and |f(1)| = 1 by translation and positive real scaling."""
-    f0 = complex(GridField(L, f).interp(0.0 + 0.0j))
+def normalize_solution(f, L):
+    """Pin f(0) = 0 and |f(1)| = 1 by translation and positive real scaling;
+    the derivative grids scale by the returned normalization's scale."""
+    f0 = complex(grid.bilinear(f, L, 0.0 + 0.0j))
     f_shift = f - f0
-    f1 = complex(GridField(L, f_shift).interp(1.0 + 0.0j))
+    f1 = complex(grid.bilinear(f_shift, L, 1.0 + 0.0j))
     if abs(f1) < 1e-12:
         raise DegenerateNormalization(f"|f(1) - f(0)| = {abs(f1):.3g} below 1e-12")
     scale = 1.0 / abs(f1)
     norm = Normalization(translation=f0, scale=scale, arg_f1=float(np.angle(f1)))
-    return scale * f_shift, scale * fz, scale * fzbar, norm
+    return scale * f_shift, norm
 
 
 def raw_omega(sol: Solution) -> np.ndarray:
     """The solve's fixed point omega = f_zbar before normalization scaled it."""
     return sol.fzbar.data / sol.normalization.scale
+
+
+def _iterates(prob: LinearProblem, start: GridField | None):
+    """The Picard iterates omega_1, omega_2, ... from start, or from omega = 0 when None.
+
+    From omega = 0, omega_1 is mu + nu, as S 0 = 0, and the step after it is
+    the checked one; later steps are unchecked."""
+    if start is None:
+        omega = np.zeros(prob.mu.data.shape, dtype=complex)
+        np.add(prob.mu.data[prob.box], prob.nu.data[prob.box], out=omega[prob.box])
+        yield omega
+        start = GridField(prob.mu.L, omega)
+    omega = start
+    while True:
+        omega = picard_step(omega, prob)
+        yield omega
 
 
 def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
@@ -149,20 +173,19 @@ def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
 
     Raises MaxIterations after cfg.max_inner unconverged steps, and when a solve
     at inner_tol or tighter leaves a residual of the linear equation above
-    cfg.residual_tol; a looser solve's residual is not formed."""
+    cfg.residual_tol. A looser solve forms neither its residual nor fz."""
     if prob.k_bound >= 1.0:
         raise NotContractive(f"k_bound = {prob.k_bound:.6g} >= 1")
     L, n, box = prob.mu.L, prob.mu.n, prob.box
     if L <= 1.0:
         raise ValueError("box must contain the normalization points 0 and 1 strictly")
     tol = cfg.inner_tol if tol is None else tol
-    # the first step is checked; later iterates vanish outside the box, so the
-    # norms read the box only, but a warm omega0's first update reads the grid
-    omega = grid.zeros(L, n) if omega0 is None else GridField(L, omega0)
-    prev, part = omega.data, box if omega0 is None else ...  # ... is the whole grid
+    # later iterates vanish outside the box, so the norms read the box only,
+    # but a warm omega0's first update reads the grid
+    start = None if omega0 is None else GridField(L, omega0)
+    prev, part = (np.zeros((n, n), dtype=complex), box) if start is None else (start.data, ...)
     trace = IterationTrace()
-    for _ in range(cfg.max_inner):
-        omega = picard_step(omega, prob)
+    for omega in islice(_iterates(prob, start), cfg.max_inner):
         update = l2_norm(omega[part] - prev[part]) * prob.mu.h
         if not math.isfinite(update):
             raise ValueError("grid samples must all be finite")
@@ -175,19 +198,19 @@ def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
             f"no convergence in {cfg.max_inner} Picard steps; last update {update:.3g}"
         )
     omega = GridField(L, omega)  # the fixed point, checked once more
-    f = prob.mu.z + cauchy_transform(omega).data
-    fz = 1.0 + beurling_transform(omega).data
-    fzbar = omega.data
-    f, fz, fzbar, norm = normalize_solution(f, fz, fzbar, L)
-    if tol <= cfg.inner_tol:
-        # formed and summed on the box, the only place mu, nu and fzbar are nonzero
-        fz_box = fz[box]
-        res = fzbar[box] - prob.mu.data[box] * fz_box - prob.nu.data[box] * np.conj(fz_box)
-        residual = l2_norm(res) / l2_norm(fz)
-        if residual > cfg.residual_tol:
-            raise MaxIterations(
-                f"converged iteration left residual {residual:.3g} > {cfg.residual_tol:.3g}"
-            )
+    f, norm = normalize_solution(prob.mu.z + cauchy_transform(omega).data, L)
+    fzbar = norm.scale * omega.data
+    if tol > cfg.inner_tol:  # only steers the outer loop, which reads f and the raw omega
+        return Solution(GridField(L, f), None, GridField(L, fzbar), trace, norm)
+    fz = norm.scale * (1.0 + beurling_transform(omega).data)
+    # formed and summed on the box, the only place mu, nu and fzbar are nonzero
+    fz_box = fz[box]
+    res = fzbar[box] - prob.mu.data[box] * fz_box - prob.nu.data[box] * np.conj(fz_box)
+    residual = l2_norm(res) / l2_norm(fz)
+    if residual > cfg.residual_tol:
+        raise MaxIterations(
+            f"converged iteration left residual {residual:.3g} > {cfg.residual_tol:.3g}"
+        )
     return Solution(
         f=GridField(L, f),
         fz=GridField(L, fz),

@@ -62,6 +62,11 @@ def test_picard_first_step_is_mu():
     prob = constant_disk_problem(0.5, n=64)
     out = picard_step(zeros(L, 64), prob)
     np.testing.assert_allclose(out, prob.mu.data, atol=1e-14)
+    # a cold solve's first step is mu + nu, formed without a transform:
+    # the bits of a step from omega = 0, signed zeros included
+    for name, _, prob in [("centred disk", None, prob), *off_centre_problems()]:
+        first = next(linear_solver._iterates(prob, None))
+        assert first.tobytes() == picard_step(zeros(L, 64), prob).tobytes(), name
 
 
 def off_centre_problems(n=64):
@@ -176,7 +181,8 @@ def test_array_steps_match_checked_steps(monkeypatch, start):
         calls = spy_steps(monkeypatch)
         sol = solve_linear(prob, cfg, omega0=omega0)
         assert calls[0] is GridField and set(calls[1:]) == {np.ndarray}, name
-        assert len(calls) == sol.trace.steps > 10, name
+        # a cold solve's first step, mu + nu, makes no picard_step call
+        assert len(calls) + (omega0 is None) == sol.trace.steps > 10, name
         assert sol.trace.update_norms == ref.trace.update_norms, name
         for a, b in ((sol.f, ref.f), (sol.fz, ref.fz), (sol.fzbar, ref.fzbar)):
             assert np.array_equal(a.data, b.data), name
@@ -185,23 +191,28 @@ def test_array_steps_match_checked_steps(monkeypatch, start):
 
 @pytest.mark.parametrize("k", [2, 5])
 def test_non_finite_array_step_raises_at_that_step(monkeypatch, k):
-    # a NaN in the S of the k-th step (the (k-1)-th unchecked transform)
-    # stops the solve there instead of running on to max_inner
-    transforms_done = []
-    transform = linear_solver._slug_carried
+    # a NaN in the (k-1)-th unchecked transform, which the k-th picard_step
+    # call makes, stops the solve at that call instead of running on to
+    # max_inner: step k of a warm solve, step k + 1 of a cold one, whose
+    # first step (mu + nu) makes no call
+    for omega0 in (None, 0.3j * disk_indicator(64)):
+        transforms_done = []
+        transform = linear_solver._slug_carried
 
-    def poisoned(*args):
-        out = transform(*args)
-        transforms_done.append(None)
-        if len(transforms_done) == k - 1:
-            out[:] = np.nan
-        return out
+        def poisoned(*args):
+            out = transform(*args)
+            transforms_done.append(None)
+            if len(transforms_done) == k - 1:
+                out[:] = np.nan
+            return out
 
-    monkeypatch.setattr(linear_solver, "_slug_carried", poisoned)
-    calls = spy_steps(monkeypatch)
-    with pytest.raises(ValueError, match="grid samples must all be finite"):
-        solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L))
-    assert len(calls) == k
+        monkeypatch.setattr(linear_solver, "_slug_carried", poisoned)
+        calls = spy_steps(monkeypatch)
+        with pytest.raises(ValueError, match="grid samples must all be finite"):
+            solve_linear(constant_disk_problem(0.5, n=64), SolverConfig(grid_n=64, box=L),
+                         omega0=omega0)
+        assert len(calls) == k
+        monkeypatch.undo()
 
 
 def test_warm_start_is_checked_on_the_first_step(monkeypatch):
@@ -295,7 +306,7 @@ def test_normalization_pins_f0_and_f1():
 
 def test_normalization_idempotent():
     sol = solve_linear(constant_disk_problem(0.5), CFG)
-    f2, fz2, fzb2, norm = normalize_solution(sol.f.data, sol.fz.data, sol.fzbar.data, L)
+    f2, norm = normalize_solution(sol.f.data, L)
     assert norm.scale == pytest.approx(1.0, abs=1e-9)
     assert abs(norm.translation) < 1e-9
     np.testing.assert_allclose(f2, sol.f.data, atol=1e-8)

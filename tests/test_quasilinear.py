@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beltrami_lab import linear_solver, quasilinear
+from beltrami_lab import cli, linear_solver, quasilinear
 from beltrami_lab.coefficients import (
     CATALOG,
     CoefficientSpec,
@@ -27,6 +27,7 @@ from beltrami_lab.quasilinear import (
     frozen_coefficient_fields,
     solve_quasilinear,
 )
+from beltrami_lab.transforms import beurling_transform
 
 L = 2.0
 FAST = SolverConfig(grid_n=128, box=L, ladder=(2, 4, 8, 16, 32, 64), outer_tol=1e-5)
@@ -390,7 +391,11 @@ def test_loose_warm_solves_skip_the_residual_check(monkeypatch):
                          rung_bound(4))
     strict = replace(cfg, residual_tol=1e-14)
     loose = solve_linear(prob, strict, tol=quasilinear._FORCING_CAP)
-    assert linear_residual(loose, prob) > strict.residual_tol
+    assert loose.fz is None  # a loose solve forms no fz: form it from its omega
+    omega = linear_solver.raw_omega(loose)
+    fz = 1.0 + beurling_transform(GridField(L, omega)).data
+    res = omega - prob.mu.data * fz - prob.nu.data * np.conj(fz)
+    assert np.linalg.norm(res) / np.linalg.norm(fz) > strict.residual_tol
     with pytest.raises(MaxIterations):
         solve_linear(prob, strict)
 
@@ -407,9 +412,56 @@ def test_ladder_picard_counts_match_picard_steps(monkeypatch):
     calls = spy_solves(monkeypatch)
     cfg = SolverConfig(grid_n=64, box=L, ladder=(2, 4, 8))
     _, report = solve_quasilinear(builtin_catalog("paper-example-sec4"), cfg)
+    # a cold solve's first step, mu + nu, is a step without a picard_step call
+    for prob, start, *_ in calls:
+        if start is None:
+            per_bound[prob.k_bound] = per_bound.get(prob.k_bound, 0) + 1
     assert per_bound == {rung_bound(row["rung"]): row["picard_steps"] for row in report.rungs}
     for row, solves in zip(report.rungs, solves_by_rung(calls, report)):
         assert row["picard_steps_max"] == max(c[3].trace.steps for c in solves)
+
+
+def test_only_solves_at_inner_tol_form_fz(monkeypatch, tmp_path):
+    # a looser solve only steers the outer loop: S of its fixed point is not
+    # formed and its fz is None; the archived solution has its fz
+    fixed_point_S = []
+    in_step = []
+    step, transform = linear_solver.picard_step, linear_solver.beurling_transform
+
+    def stepped(*args):
+        in_step.append(None)
+        try:
+            return step(*args)
+        finally:
+            in_step.pop()
+
+    def transformed(omega):
+        if not in_step:
+            fixed_point_S.append(None)
+        return transform(omega)
+
+    solves = []  # (tol, fixed-point S transforms, solution)
+
+    def spy(prob, cfg, omega0=None, tol=None):
+        before = len(fixed_point_S)
+        sol = solve_linear(prob, cfg, omega0=omega0, tol=tol)
+        solves.append((cfg.inner_tol if tol is None else tol, len(fixed_point_S) - before, sol))
+        return sol
+
+    monkeypatch.setattr(linear_solver, "picard_step", stepped)
+    monkeypatch.setattr(linear_solver, "beurling_transform", transformed)
+    monkeypatch.setattr(quasilinear, "solve_linear", spy)
+    argv = ["solve", "--spec", "w-damped-disk:0.5", "--grid", "64", "--ladder", "2,4",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) in (0, 3)
+    inner_tol = SolverConfig().inner_tol
+    assert any(tol > inner_tol for tol, _, _ in solves)
+    assert any(tol == inner_tol for tol, _, _ in solves)
+    for tol, transforms, sol in solves:
+        assert transforms == (tol <= inner_tol)
+        assert (sol.fz is None) == (tol > inner_tol)
+    archived = linear_solver.load_solution(tmp_path)
+    assert np.array_equal(archived.fz.data, solves[-1][2].fz.data)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ normalization conventions independently of the implementation.
 import numpy as np
 import pytest
 
+from beltrami_lab import transforms
 from beltrami_lab.errors import SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
 from beltrami_lab.transforms import (
@@ -21,6 +22,7 @@ from beltrami_lab.transforms import (
     _kernels,
     _slug,
     _slug_carried,
+    _spectrum,
     beurling_transform,
     cauchy_transform,
     derivatives,
@@ -253,6 +255,25 @@ def test_in_place_passes_leave_inputs_and_caches_alone(field):
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
         assert not new.flags.writeable
+
+
+@pytest.mark.parametrize("field", IN_PLACE_FIELDS)
+def test_padded_spectrum_gives_the_bits_of_a_contiguous_one(field, monkeypatch):
+    # the row padding moves no bit of T or S, on the whole grid, the band or
+    # a box; the whole grid comes back contiguous, so GridField copies nothing
+    n = 64
+    omega = IN_PLACE_FIELDS[field](n)
+    band, _ = _check_support(omega.data, L)
+    padded = _spectrum(n)
+    assert padded.shape == (n, n) and padded.strides == ((n + 4) * 16, 16)
+    boxes = (None, (slice(None),) * 2, (band, slice(None)), (band, slice(n // 8, n // 2)))
+    outs = [_slug_carried(omega.data, L, which, band, box) for which in (0, 1) for box in boxes]
+    monkeypatch.setattr(transforms, "_spectrum", lambda n: np.zeros((n, n), dtype=complex))
+    refs = [_slug_carried(omega.data, L, which, band, box) for which in (0, 1) for box in boxes]
+    for out, ref in zip(outs, refs):
+        assert np.array_equal(out, ref)
+    for whole in outs[::len(boxes)]:
+        assert whole.shape == (n, n) and whole.flags.c_contiguous
 
 
 def smooth_mean_zero_bump(n):
