@@ -7,9 +7,11 @@ Extracts the base revision's tree with `git archive` into a temporary
 directory, then runs one fixed list of commands through
 `beltrami_lab.cli.main` on each tree, in a fresh Python process that
 imports the package from that tree's `src/`: a `solve` and a `verify`
-of each benchmark workload and of seven catalog specs at n = 128, the
-`analyze` config of the CI smoke test, `example --grid 32 --ladder 2,4`,
-and the totals line of `scripts/w_dependent_scan.py`. For every file
+of each benchmark workload and of seven catalog specs at n = 128, a
+`verify` of an archive of a folded map (the only one whose cover test
+finds overlapping bins), the `analyze` config of the CI smoke test,
+`example --grid 32 --ladder 2,4`, and the totals line of
+`scripts/w_dependent_scan.py`. For every file
 written it prints `identical`, or else the max |difference| of a grid or
 the JSON keys that differ, and then both exit codes of every command.
 Exits 0 when nothing differs and every command completed on both trees
@@ -45,6 +47,7 @@ SOLVES = (
     ("wdamped-0.55", "w-damped-disk:0.55", 128),
 )
 ANALYZE_CONFIG = "spec = constant-disk:0.5\nQ = 3\nQ1 = 9\nz0 = 0 0.5\n"  # as in CI
+FOLD = "fold"  # archive of f = min(x, -2x) + i y at n = 128, written by write_fold_archive
 
 
 ARCHIVE = ("f.blgf", "fz.blgf", "fzbar.blgf", "meta.json", "ladder.json")
@@ -57,11 +60,34 @@ def commands(out: Path):
         yield (f"solve {name}", ["solve", "--spec", spec, "--grid", str(n), "--out", str(out / name)],
                [f"{name}/{file}" for file in ARCHIVE])
         yield f"verify {name}", ["verify", "--archive", str(out / name)], [f"{name}/verification.json"]
+    yield f"verify {FOLD}", ["verify", "--archive", str(out / FOLD)], [f"{FOLD}/verification.json"]
     yield ("analyze", ["analyze", "--config", str(out / "analyze.ini"), "--out", str(out / "analyze")],
            ["analyze/conditions.json"])
     yield ("example", ["example", "--grid", "32", "--ladder", "2,4", "--out", str(out / "example")],
            ["example/example.json", *(f"example/solution/{file}"
                                       for file in (*ARCHIVE, "verification.json"))])
+
+
+def write_fold_archive(out: Path):
+    """Archive f = min(x, -2x) + i y, with its exact fz and fzbar and the
+    spec constant-disk:0.5. The map folds the right half of the box back
+    over the left, reversed: its triangles there flip, and where the folded
+    half reaches past the other the boundary winds -1 times, so the cover
+    test counts overlapping bins."""
+    from beltrami_lab import coefficients, grid, linear_solver
+
+    z = grid.coordinates(2.0, 128)
+    right = z.real > 0
+    # on the right f = -2x + i y = -z/2 - 3 conj(z)/2
+    sol = linear_solver.Solution(
+        f=grid.GridField(2.0, np.where(right, -2.0 * z.real, z.real) + 1j * z.imag),
+        fz=grid.GridField(2.0, np.where(right, -0.5, 1.0) + 0j),
+        fzbar=grid.GridField(2.0, np.where(right, -1.5, 0.0) + 0j),
+        trace=linear_solver.IterationTrace(),
+        normalization=linear_solver.Normalization(0j, 1.0, 0.0),
+    )
+    spec = coefficients.builtin_catalog("constant-disk", [0.5])
+    linear_solver.save_solution(sol, out / FOLD, extra_meta={"spec": coefficients.spec_to_dict(spec)})
 
 
 def run_tree(tree: Path, out: Path):
@@ -73,6 +99,7 @@ def run_tree(tree: Path, out: Path):
     if not Path(cli.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"error: beltrami_lab imported from {cli.__file__}, not {tree}")
     (out / "analyze.ini").write_text(ANALYZE_CONFIG)
+    write_fold_archive(out)
     codes = {}
     for name, argv, _ in commands(out):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -151,12 +151,13 @@ def cmd_verify(args):
 
     src = Path(args.archive)
     out = _outdir(args, src)
-    solution = load_solution(src)
-    meta = json.loads((src / "meta.json").read_text())
+    meta_path = src / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    solution = load_solution(src, meta)
     if args.spec:
         spec = _resolve_spec(args.spec)
     elif "spec" in meta:
-        spec = spec_from_dict(meta["spec"], source=src / "meta.json")
+        spec = spec_from_dict(meta["spec"], source=meta_path)
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
     _verify(solution, spec, out, args.heatmaps)

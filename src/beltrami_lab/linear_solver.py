@@ -269,11 +269,16 @@ def save_solution(sol: Solution, outdir, extra_meta=None):
     return out
 
 
-def load_solution(indir) -> Solution:
-    """Read an archive; keys it does not read (older archives carry more) are ignored."""
+def load_solution(indir, meta=None) -> Solution:
+    """Read an archive; keys it does not read (older archives carry more) are ignored.
+
+    meta is the archive's parsed meta.json, for a caller that reads other
+    keys of it too; by default the file is read here.
+    """
     src = Path(indir)
     path = src / "meta.json"
-    meta = json.loads(path.read_text())
+    if meta is None:
+        meta = json.loads(path.read_text())
 
     def field(where, what, ok):
         return _meta_field(meta, where, path, what, ok)

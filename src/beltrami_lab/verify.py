@@ -11,6 +11,7 @@ support radius; a Solution carries none.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,9 +90,18 @@ def _triangles(solution: Solution):
 
 
 def _signed_area2(A, B, C):
-    u = B - A
-    v = C - A
+    return _cross(B - A, C - A)
+
+
+def _cross(u, v):
     return u.real * v.imag - u.imag * v.real
+
+
+def _runs(count):
+    """Runs of the given lengths laid end to end: each element's run and its
+    offset within that run."""
+    run = np.repeat(np.arange(len(count)), count)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
 
 
 def _boundary_polygon(f: np.ndarray) -> np.ndarray:
@@ -104,11 +114,73 @@ def _boundary_polygon(f: np.ndarray) -> np.ndarray:
 
 
 def _winding_numbers(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
-    closed = np.append(poly, poly[0])
-    w = np.zeros(len(points))
-    for a, b in zip(closed[:-1], closed[1:]):
-        w += np.angle((b - points) / (a - points))
-    return np.rint(w / (2.0 * np.pi)).astype(int)
+    """Winding number of the closed polygon poly about each point.
+
+    Counted as the signed crossings of the rightward ray from the point
+    (Hormann & Agathos, Comput. Geom. 20, 2001): +1 for each edge that
+    crosses it upward with the point on its left, -1 for each that crosses
+    it downward with the point on its right. Each crossing is decided by
+    the sign of one cross product, so the count is an exact integer for
+    every point off the curve.
+    """
+    a, b = poly, np.roll(poly, -1)
+    # the points in order of y, and each edge's half-open y-range in that
+    # order: the only points whose rays it can cross. Python's sort and
+    # bisect find them: numpy's run nowhere else in a solve and a failing
+    # verify, and paging their code in costs 0.3 MB of resident memory
+    ys = points.imag.tolist()
+    order = np.array(sorted(range(len(ys)), key=ys.__getitem__), dtype=np.intp)
+    ys.sort()
+    first = np.array([bisect_left(ys, v) for v in np.minimum(a.imag, b.imag).tolist()], np.intp)
+    last = np.array([bisect_left(ys, v) for v in np.maximum(a.imag, b.imag).tolist()], np.intp)
+    edge, k = _runs(last - first)
+    point = order[first[edge] + k]
+    sign = np.where(a.imag[edge] < b.imag[edge], 1.0, -1.0)
+    crossed = sign * _cross(b[edge] - a[edge], points[point] - a[edge]) > 0.0
+    return np.bincount(point[crossed], weights=sign[crossed], minlength=len(points)).astype(int)
+
+
+def _near_vertices(centers, cx, cy, vertices, reach):
+    """Which of the bin centers cx[k] + i cy[j] (flattened row by row) lie
+    within reach of some vertex.
+
+    The centers are evenly spaced. Each vertex tests only the centers of a
+    window of bins around its own, one bin wider on each side than its
+    reach spans, by the same |center - vertex| <= reach as a test against
+    every center would make.
+    """
+    def window(c, v):
+        """The indices of the centers c in each vertex's window, one row per vertex."""
+        step = c[1] - c[0]
+        if step == 0.0:  # a flat image: the centers coincide, and one window holds them all
+            return np.broadcast_to(np.arange(len(c)), (len(v), len(c)))
+        half = int(reach / step) + 2
+        width = min(2 * half + 1, len(c))
+        first = np.clip(np.floor((v - c[0]) / step).astype(np.intp) - half, 0, len(c) - width)
+        return first[:, None] + np.arange(width)
+
+    ix, iy = window(cx, vertices.real), window(cy, vertices.imag)
+    c = iy[:, :, None] * len(cx) + ix[:, None, :]
+    near = np.zeros(len(centers), dtype=bool)
+    near[c[np.abs(centers[c] - vertices[:, None, None]) <= reach]] = True
+    return near
+
+
+def _flip_count(f: np.ndarray) -> int:
+    """Number of grid triangles whose image has negative signed area."""
+    flips = 0
+    # 32 cell rows at a time: no temporary outgrows the memory a solve frees
+    for j in range(0, f.shape[0] - 1, 32):
+        g = f[j:j + 33]
+        # each sample's edges to its right and upper neighbours: the
+        # lower-left triangle of a cell has edges dx[j, k] and dy[j, k], and
+        # the upper-right one the exact negations of dx[j + 1, k] and
+        # dy[j, k + 1], whose cross product is the same
+        dx = g[:, 1:] - g[:, :-1]
+        dy = g[1:] - g[:-1]
+        flips += sum(int((_cross(dx[rows], dy[:, cols]) < 0).sum())
+                     for rows, cols in ((_LO, _LO), (_HI, _HI)))
+    return flips
 
 
 def injectivity_check(solution: Solution):
@@ -118,13 +190,12 @@ def injectivity_check(solution: Solution):
     evaluates the winding number of the image of the grid boundary at
     the centers of 48 x 48 bins over the image's bounding box that lie
     well inside the image; winding outside {0, 1} means the grid image
-    overlaps itself (a fold or a multiple cover). PASS needs zero flips
-    and zero overlap bins.
+    overlaps itself (a fold or a multiple cover). Each winding number is
+    a signed count of boundary crossings, an exact integer. PASS needs
+    zero flips and zero overlap bins.
     """
-    # the triangles read off the grid in place, not from concatenated copies
     f = solution.f.data
-    flips = sum(int((_signed_area2(*(f[v] for v in tri)) < 0).sum()) for tri in _CELL_TRIANGLES)
-
+    flips = _flip_count(f)
     poly = _boundary_polygon(f)
     lo_x, hi_x = poly.real.min(), poly.real.max()
     lo_y, hi_y = poly.imag.min(), poly.imag.max()
@@ -136,12 +207,7 @@ def injectivity_check(solution: Solution):
     centers = (CX + 1j * CY).ravel()
     # drop centers too close to the boundary curve for a stable winding number
     bin_diag = np.hypot(bx[1] - bx[0], by[1] - by[0])
-    # one vertex at a time: a (centers x vertices) temporary is megabytes,
-    # and whether the allocator serves it from fresh pages varies per run
-    dist = np.full(len(centers), np.inf)
-    for p in poly[::4]:
-        np.minimum(dist, np.abs(centers - p), out=dist)
-    inner = centers[dist > 2.0 * bin_diag]
+    inner = centers[~_near_vertices(centers, cx, cy, poly[::4], 2.0 * bin_diag)]
     if len(inner):
         winding = _winding_numbers(poly[::2], inner)
         overlap_bins = int(np.sum((winding != 0) & (winding != 1)))
@@ -157,18 +223,34 @@ def injectivity_check(solution: Solution):
 # ---------------------------------------------------------------------------
 # discrete inverse and its dilatation integrals
 
+def _window_triangles(solution: Solution, source_mask, lo: float, hi: float):
+    """Image and source vertices A, B, C, Az, Bz, Cz, as flat arrays in
+    triangle order, of the masked triangles whose image box meets the
+    square [lo, hi]^2."""
+    f = solution.f.data
+    # outcodes (Cohen-Sutherland): a box misses the square exactly when its
+    # three vertices lie beyond one and the same side
+    side = ((f.real < lo) * np.uint8(1) | (f.real > hi) * np.uint8(2)
+            | (f.imag < lo) * np.uint8(4) | (f.imag > hi) * np.uint8(8))
+    m = source_mask[:-1, :-1]
+    keep = [m & ((side[a] & side[b] & side[c]) == 0) for a, b, c in _CELL_TRIANGLES]
+    return tuple(np.concatenate([g[tri[v]][k] for tri, k in zip(_CELL_TRIANGLES, keep)])
+                 for g in (f, solution.f.z) for v in range(3))
+
+
 def _locate(solution: Solution, w_half: float, image_n: int, source_mask):
     """Preimages of the lattice (-w_half + hw k) + i (-w_half + hw j), hw = 2 w_half / image_n.
 
     Each lattice point [j, k] takes the lowest-numbered masked triangle
     that contains it (barycentric test, 1e-12 slack); others stay NaN.
+    Only the masked triangles whose image box meets the lattice's square
+    widened by one lattice step are read off the grid, in their order. A
+    triangle left out lies more than a step from every lattice point, so
+    its box, even with the 1e-9-step slack of its index range, holds none.
     """
-    # the masked triangles only, in triangle order: nothing unmasked is copied
-    m = source_mask[:-1, :-1]
-    A, B, C, Az, Bz, Cz = (np.concatenate([g[tri[v]][m] for tri in _CELL_TRIANGLES])
-                           for g in (solution.f.data, solution.f.z) for v in range(3))
     hw = 2.0 * w_half / image_n
     ax = -w_half + hw * np.arange(image_n)
+    A, B, C, Az, Bz, Cz = _window_triangles(solution, source_mask, ax[0] - hw, ax[-1] + hw)
 
     def index_range(coord):
         """First lattice index and count per bounding box; too wide, never too narrow."""
@@ -178,9 +260,7 @@ def _locate(solution: Solution, w_half: float, image_n: int, source_mask):
 
     P = np.stack([A, B, C])
     (x0, nx), (y0, ny) = index_range(P.real), index_range(P.imag)
-    count = nx * ny
-    t = np.repeat(np.arange(len(A)), count)  # candidate pairs in increasing triangle order
-    k = np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count)
+    t, k = _runs(nx * ny)  # candidate pairs in increasing triangle order
     ix = x0[t] + k % nx[t]
     iy = y0[t] + k // nx[t]
     v0 = B[t] - A[t]
@@ -206,7 +286,8 @@ def inverse_dilatation_audit(solution: Solution, spec: CoefficientSpec, p: float
     """Integrate K_{I,p} of the discrete inverse.
 
     Builds g = f^{-1} on a 96 x 96 lattice over the square of half-side
-    0.7 min |f| on the spec's support circle by triangle point location,
+    0.7 min |f| on the spec's support circle by point location in the
+    triangles whose image box meets that square (see _locate),
     differentiates by centered differences, and Riemann-sums the inner
     dilatation. Raises NotInvertible if the solution fails the
     injectivity check, which runs here unless its result is passed in.

@@ -167,6 +167,15 @@ def test_archive_in_the_older_format_still_verifies(tmp_path):
             == (tmp_path / "new" / "verification.json").read_bytes())
 
 
+def test_verify_parses_meta_json_once(archive, tmp_path, monkeypatch):
+    # the loader and the embedded spec read one parse of the archive's metadata
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    assert run(["verify", "--archive", str(archive), "--out", str(tmp_path)]) == 0
+    assert parsed == [(archive / "meta.json").read_text()]
+
+
 def test_verify_spec_override_sets_every_certificate_domain(tmp_path):
     # the archive's spec has the unit disk as support; the override's is |z| <= 0.5
     out = tmp_path / "run"

@@ -227,6 +227,86 @@ def test_injectivity_matches_full_matrix_reference(fn, monkeypatch):
     assert not out["passed"]
 
 
+def test_flat_image_leaves_no_center_to_wind(monkeypatch):
+    # f = i Im z maps the grid onto a segment: every bin center lies on it,
+    # within reach of a boundary vertex, and none is handed to the winding count
+    seen = []
+    monkeypatch.setattr(verify, "_winding_numbers", lambda poly, points: seen.append(points))
+    out = injectivity_check(make_solution(lambda z: 1j * z.imag, n=64))
+    assert seen == [] and out["folded_cell_count"] == 0
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_flip_count_matches_signed_areas(n):
+    # a jittered identity flips triangles of both kinds, in every block of rows
+    jitter = np.random.default_rng(n).normal(scale=0.4 * 2 * L / n, size=(n, n, 2))
+    sol = make_solution(lambda z: z + jitter[..., 0] + 1j * jitter[..., 1], n=n)
+    A, B, C, *_ = verify._triangles(sol)
+    area2 = verify._signed_area2(A, B, C)
+    half = len(area2) // 2  # lower-left triangles, then upper-right ones
+    assert (area2[:half] < 0).sum() != (area2[half:] < 0).sum()
+    assert injectivity_check(sol)["orientation_flips"] == int((area2 < 0).sum())
+
+
+def angle_sum_winding(poly, points):
+    """The winding number as the rounded sum of the angles each edge
+    subtends: the oracle for the crossing count of _winding_numbers."""
+    closed = np.append(poly, poly[0])
+    w = np.zeros(len(points))
+    for a, b in zip(closed[:-1], closed[1:]):
+        w += np.angle((b - points) / (a - points))
+    return np.rint(w / (2.0 * np.pi)).astype(int)
+
+
+def curve_distance(poly, points):
+    """Distance from each point to the closed polygon, edge by edge."""
+    a, b, p = poly[None, :], np.roll(poly, -1)[None, :], points[:, None]
+    d = b - a
+    t = np.clip(((p - a) * np.conj(d)).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+    return np.abs(p - (a + t * d)).min(axis=1)
+
+
+def random_polygon(rng, i):
+    """Seeded closed curves: star-shaped ones going once or twice round, a
+    limacon with an inner loop, and random vertex clouds; either orientation,
+    every other one snapped to a grid of step 1/8, which makes horizontal
+    edges, repeated y-values and repeated vertices."""
+    m = int(rng.integers(3, 60))
+    kind = i % 4
+    if kind == 3:
+        poly = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+    else:
+        turns = 2 if kind == 1 else 1
+        theta = np.sort(rng.uniform(0, 2 * np.pi * turns, m))
+        r = (0.5 + 1.2 * np.cos(theta) if kind == 2 else rng.uniform(0.2, 1.0, m))
+        poly = r * np.exp(1j * theta) + complex(*rng.uniform(-0.2, 0.2, 2))
+    if rng.random() < 0.5:
+        poly = poly[::-1]
+    if i % 2:
+        poly = np.round(poly.real * 8) / 8 + 1j * np.round(poly.imag * 8) / 8
+    return poly
+
+
+def test_crossing_count_matches_angle_sum():
+    rng = np.random.default_rng(7)
+    seen = set()
+    flat_edges = 0
+    for i in range(300):
+        poly = random_polygon(rng, i)
+        points = rng.uniform(-1.3, 1.3, 300) + 1j * rng.uniform(-1.3, 1.3, 300)
+        # and points on the lines through the vertices, where the half-open
+        # y-ranges of the edges decide
+        points[:100] = rng.uniform(-1.3, 1.3, 100) + 1j * rng.choice(poly.imag, 100)
+        points = points[curve_distance(poly, points) > 1e-9]
+        new = verify._winding_numbers(poly, points)
+        assert new.dtype.kind == "i"
+        assert np.array_equal(new, angle_sum_winding(poly, points)), i
+        seen.update(new.tolist())
+        flat_edges += int(np.sum(poly.imag == np.roll(poly, -1).imag))
+    assert {-2, -1, 0, 1, 2} <= seen
+    assert flat_edges > 0
+
+
 # ---------------------------------------------------------------------------
 # inverse audit
 
@@ -320,20 +400,14 @@ def constant_disk_closed_form(z):
     return np.where(np.abs(z) <= 1, z + 0.5 * np.conj(z), z + 0.5 / zs)
 
 
-@pytest.mark.parametrize("fn", [
-    constant_disk_closed_form,
-    lambda z: np.abs(z.real) + 1j * z.imag,  # a fold: two triangles hold most points
-], ids=["constant-disk", "fold"])
-def test_locate_matches_reference_scan(fn):
-    # reference: each lattice point scans all masked triangles in order and
-    # takes the first that contains it, with the same barycentric formulas
-    sol = make_solution(fn, n=32)
-    mask = np.abs(sol.f.z) <= 1.5
+def reference_scan(sol, w_half, image_n, mask):
+    """Each lattice point scans all masked triangles in order and takes the
+    first that contains it, with the barycentric formulas of _locate."""
     A, B, C, Az, Bz, Cz = (arr[np.tile(mask[:-1, :-1].ravel(), 2)]
                            for arr in verify._triangles(sol))
     v0, v1 = B - A, C - A
     den = v0.real * v1.imag - v0.imag * v1.real
-    W = lattice(2.2, 24)
+    W = lattice(w_half, image_n)
     ref = np.full(W.shape, np.nan + 0j)
     for idx, w in np.ndenumerate(W):
         v2 = w - A
@@ -344,9 +418,35 @@ def test_locate_matches_reference_scan(fn):
         if len(hits):
             t = hits[0]
             ref[idx] = Az[t] + a[t] * (Bz[t] - Az[t]) + b[t] * (Cz[t] - Az[t])
+    return ref
+
+
+@pytest.mark.parametrize("fn", [
+    constant_disk_closed_form,
+    lambda z: np.abs(z.real) + 1j * z.imag,  # a fold: two triangles hold most points
+], ids=["constant-disk", "fold"])
+def test_locate_matches_reference_scan(fn):
+    sol = make_solution(fn, n=32)
+    mask = np.abs(sol.f.z) <= 1.5
+    ref = reference_scan(sol, 2.2, 24, mask)
     g = _locate(sol, 2.2, 24, mask)
     assert np.isfinite(ref.real).any() and np.isnan(ref.real).any()
     assert np.array_equal(g, ref, equal_nan=True)
+
+
+def test_locate_reads_only_triangles_that_reach_the_lattice(monkeypatch):
+    # the lattice's square is much smaller than the masked image, so most
+    # masked triangles are left out, and the points keep their preimages
+    sol = make_solution(constant_disk_closed_form, n=64)
+    mask = np.abs(sol.f.z) <= 1.5
+    built = []
+    window_triangles = verify._window_triangles
+    monkeypatch.setattr(verify, "_window_triangles",
+                        lambda *args: built.append(window_triangles(*args)) or built[-1])
+    g = _locate(sol, 0.35, 24, mask)
+    assert np.isfinite(g.real).all()
+    assert np.array_equal(g, reference_scan(sol, 0.35, 24, mask), equal_nan=True)
+    assert len(built) == 1 and len(built[0][0]) < 0.25 * 2 * mask[:-1, :-1].sum()
 
 
 def test_verification_report_runs_injectivity_once(monkeypatch):
