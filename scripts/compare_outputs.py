@@ -10,7 +10,8 @@ imports the package from that tree's `src/`: a `solve` and a `verify`
 of each benchmark workload and of seven catalog specs at n = 128, a
 `verify` of an archive of a folded map (the only one whose cover test
 finds overlapping bins), the `analyze` config of the CI smoke test,
-`example --grid 32 --ladder 2,4`, and the totals line of
+`example --grid 32 --ladder 2,4`, a `verify --heatmaps` of the disk-0.5
+and sec4 archives, and the totals line of
 `scripts/w_dependent_scan.py`. For every file
 written it prints `identical`, or else the max |difference| of a grid or
 the JSON keys that differ, and then both exit codes of every command.
@@ -48,6 +49,7 @@ SOLVES = (
 )
 ANALYZE_CONFIG = "spec = constant-disk:0.5\nQ = 3\nQ1 = 9\nz0 = 0 0.5\n"  # as in CI
 FOLD = "fold"  # archive of f = min(x, -2x) + i y at n = 128, written by write_fold_archive
+HEATMAPS = ("disk-0.5", "sec4")  # archives verified again with --heatmaps
 
 
 ARCHIVE = ("f.blgf", "fz.blgf", "fzbar.blgf", "meta.json", "ladder.json")
@@ -61,6 +63,12 @@ def commands(out: Path):
                [f"{name}/{file}" for file in ARCHIVE])
         yield f"verify {name}", ["verify", "--archive", str(out / name)], [f"{name}/verification.json"]
     yield f"verify {FOLD}", ["verify", "--archive", str(out / FOLD)], [f"{FOLD}/verification.json"]
+    for name in HEATMAPS:
+        yield (f"verify --heatmaps {name}",
+               ["verify", "--archive", str(out / name), "--heatmaps", "--out",
+                str(out / f"heatmaps-{name}")],
+               [f"heatmaps-{name}/{file}"
+                for file in ("verification.json", "residual.ppm", "jacobian.ppm")])
     yield ("analyze", ["analyze", "--config", str(out / "analyze.ini"), "--out", str(out / "analyze")],
            ["analyze/conditions.json"])
     yield ("example", ["example", "--grid", "32", "--ladder", "2,4", "--out", str(out / "example")],

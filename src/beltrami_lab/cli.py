@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -298,16 +299,23 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parsers():
+    """The --config pre-parser and the full parser, built once per process:
+    an in-process caller of main (a benchmark, a script) pays the build once."""
+    pre = _Parser(prog="beltrami-lab", add_help=False)
+    pre.add_argument("--config")
+    return pre, build_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # --config is read before the full parse, so the file may supply
         # required flags; its keys become flags ahead of the command line,
         # whose values win
-        pre = _Parser(prog="beltrami-lab", add_help=False)
-        pre.add_argument("--config")
+        pre, parser = _parsers()
         config = pre.parse_known_args(argv)[0].config
-        parser = build_parser()
         if config:
             argv = argv[:1] + _config_flags(parser, argv[0], config) + argv[1:]
         args = parser.parse_args(argv)

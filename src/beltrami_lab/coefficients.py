@@ -3,8 +3,9 @@
 A CoefficientSpec holds the formula text of both characteristics, parsed
 once into expression trees, and a compact support radius; both vanish
 outside |z| <= support_radius.
-Every grid sampling reads one cached index of the support samples and
-evaluates the expressions there only. `truncate` cuts sampled
+Every grid sampling reads one cached geometry of the support samples
+(their indices, z, r and theta) and evaluates the expressions there
+only. `truncate` cuts sampled
 coefficients down to a rung n: by K it zeroes them wherever their own
 maximal dilatation exceeds n, by Q wherever a user-supplied majorant
 Q(z) exceeds n; either way the truncated pair satisfies
@@ -20,18 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EllipticityViolation, ParamOutOfRange, ParseError, UnknownCatalogEntry
-from .expressions import evaluate, parse_expression, standard_env
+from .expressions import evaluate, free_variables, parse_expression, standard_env
 from .grid import coordinates
 
 
 @dataclass(frozen=True)
 class CoefficientSpec:
     """The pair (mu, nu) as formula text, with its support; each text is
-    parsed once, over the variables z, w, r and theta, into mu_expr and nu_expr."""
+    parsed once, over the variables z, w, r and theta, into mu_expr and
+    nu_expr, and `variables` holds the names the two read."""
 
     mu: str
     nu: str = "0"
@@ -39,6 +42,7 @@ class CoefficientSpec:
     label: str = ""
     mu_expr: object = field(init=False, compare=False, repr=False)
     nu_expr: object = field(init=False, compare=False, repr=False)
+    variables: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for key in ("mu", "nu"):
@@ -46,21 +50,34 @@ class CoefficientSpec:
             if not isinstance(text, str):
                 raise ValueError(f"{key} must be text, not {type(text).__name__} {text!r}")
             object.__setattr__(self, f"{key}_expr", parse_expression(text))
+        object.__setattr__(self, "variables",
+                           free_variables(self.mu_expr) | free_variables(self.nu_expr))
         if not 0 < self.support_radius < math.inf:
             raise ValueError(f"support_radius must be positive and finite, "
                              f"got {self.support_radius!r}")
 
 
-def coefficient_fields(spec: CoefficientSpec, z, w):
-    """Evaluate (mu, nu) on arrays of z and w values, zero outside the support."""
+def coefficient_fields(spec: CoefficientSpec, z, w, polar=None):
+    """Evaluate (mu, nu) on arrays of z and w values, zero outside the support.
+
+    `polar`, when given, is (r, theta) of z as floats, for samples that all
+    lie in the support (a grid's SupportGeometry): r and theta are read from
+    it, only where the formulas use them, and no sample is tested.
+    """
     z = np.asarray(z, dtype=complex)
     w = np.broadcast_to(np.asarray(w, dtype=complex), z.shape)
-    env = standard_env(z, w)
+    if polar is None:
+        env = standard_env(z, w)
+    else:
+        env = {"z": z, "w": w}
+        env.update((name, v.astype(complex)) for name, v in zip(("r", "theta"), polar)
+                   if name in spec.variables)
     mu = np.broadcast_to(evaluate(spec.mu_expr, env), z.shape).copy()
     nu = np.broadcast_to(evaluate(spec.nu_expr, env), z.shape).copy()
-    outside = np.abs(z) > spec.support_radius
-    mu[outside] = 0.0
-    nu[outside] = 0.0
+    if polar is None:
+        outside = np.abs(z) > spec.support_radius
+        mu[outside] = 0.0
+        nu[outside] = 0.0
     return mu, nu
 
 
@@ -75,21 +92,37 @@ def eval_coefficients(spec: CoefficientSpec, z: complex, w: complex):
     return complex(mu[0]), complex(nu[0])
 
 
+class SupportGeometry(NamedTuple):
+    """The samples of a grid with |z| <= radius: flat indices in row-major
+    order, and z, r = |z| and theta = arg z in [0, 2pi) there."""
+
+    index: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+
+
 @lru_cache(maxsize=16)
-def _support_index(L: float, n: int, radius: float) -> np.ndarray:
-    """Flat indices of the (L, n) grid samples with |z| <= radius, read-only."""
-    index = np.flatnonzero(np.abs(coordinates(L, n)) <= radius)
-    index.flags.writeable = False
-    return index
+def _support_geometry(L: float, n: int, radius: float) -> SupportGeometry:
+    """SupportGeometry of the (L, n) grid, read-only; r and theta as floats,
+    the bits standard_env computes for the same samples."""
+    Z = coordinates(L, n).ravel()
+    r = np.abs(Z)
+    index = np.flatnonzero(r <= radius)
+    z = Z[index]
+    geometry = SupportGeometry(index, z, r[index], np.mod(np.angle(z), 2.0 * np.pi))
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
 
 
 def _support_samples(spec: CoefficientSpec, L: float, w: np.ndarray):
-    """The support index of the grid w (half-side L) and (mu, nu) at (z, w(z))
-    on those samples, in its order; the coefficients vanish elsewhere."""
-    n = w.shape[0]
-    index = _support_index(L, n, spec.support_radius)
-    mu, nu = coefficient_fields(spec, coordinates(L, n).flat[index], w.flat[index])
-    return index, mu, nu
+    """The support geometry of the grid w (half-side L) and (mu, nu) at
+    (z, w(z)) on those samples, in its order; the coefficients vanish elsewhere."""
+    support = _support_geometry(L, w.shape[0], spec.support_radius)
+    mu, nu = coefficient_fields(spec, support.z, w.ravel()[support.index],
+                                polar=(support.r, support.theta))
+    return support, mu, nu
 
 
 def rung_bound(n) -> float:

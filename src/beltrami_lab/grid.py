@@ -10,6 +10,7 @@ little endian, followed by n*n complex128 samples row-major.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,11 +91,11 @@ class GridField:
         return l2_norm(self.data) * self.h
 
     def save(self, path):
+        """Write the BLGF header, then the samples straight from their own
+        buffer (a copy only on a big-endian host)."""
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", self.n))
-            fh.write(struct.pack("<d", self.L))
-            fh.write(self.data.astype("<c16").tobytes(order="C"))
+            fh.write(MAGIC + struct.pack("<Id", self.n, self.L))
+            fh.write(self.data.astype("<c16", copy=False))
 
 
 def bilinear(data: np.ndarray, L: float, points):
@@ -126,20 +127,24 @@ def from_function(L: float, n: int, fn) -> GridField:
 
 
 def load(path) -> GridField:
-    """Read a BLGF file; a ValueError names the file if it is not a valid grid."""
+    """Read a BLGF file; a ValueError names the file if it is not a valid grid.
+
+    The header and the file's size are checked before any sample is read,
+    and the samples are read straight into the grid's array.
+    """
     with open(path, "rb") as fh:
         header = fh.read(16)
-        payload = fh.read()
-    if len(header) < 16:
-        raise ValueError(f"{path}: header of {len(header)} bytes, not 16")
-    if header[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {header[:4]!r}")
-    n, L = struct.unpack("<Id", header[4:])
-    if len(payload) != 16 * n * n:
-        raise ValueError(f"{path}: {len(payload)} bytes of samples, not 16*{n}^2")
-    data = np.frombuffer(payload, dtype="<c16").reshape(n, n)
+        if len(header) < 16:
+            raise ValueError(f"{path}: header of {len(header)} bytes, not 16")
+        if header[:4] != MAGIC:
+            raise ValueError(f"{path}: bad magic {header[:4]!r}")
+        n, L = struct.unpack("<Id", header[4:])
+        size = os.fstat(fh.fileno()).st_size - 16
+        if size != 16 * n * n:
+            raise ValueError(f"{path}: {size} bytes of samples, not 16*{n}^2")
+        data = np.fromfile(fh, dtype="<c16", count=n * n).reshape(n, n)
     try:
-        return GridField(L, data.astype(complex))
+        return GridField(L, data)
     except ValueError as exc:  # a whole header can still describe no valid grid
         raise ValueError(f"{path}: {exc}") from None
 

@@ -35,7 +35,6 @@ import numpy as np
 from .coefficients import CoefficientSpec, _support_samples, rung_bound, truncate
 from .dilatation import elliptic_mask
 from .errors import EmptyCompact, NotContractive
-from .expressions import free_variables
 from .grid import GridField, coordinates
 from .linear_solver import LinearProblem, raw_omega, solve_linear
 from .verify import residual
@@ -127,13 +126,12 @@ def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=
     Truncation is by the majorant q when given, else by K. The returned
     grids satisfy |mu| + |nu| <= rung_bound(rung).
     """
-    Z = f.z
-    inside, mu_in, nu_in = _support_samples(spec, f.L, f.data)
-    mu = np.zeros(Z.shape, dtype=complex)
-    nu = np.zeros(Z.shape, dtype=complex)
-    mu.flat[inside], nu.flat[inside] = mu_in, nu_in
-    mu, nu = truncate(mu, nu, rung, q, Z)
-    return GridField(f.L, mu), GridField(f.L, nu)
+    support, mu_in, nu_in = _support_samples(spec, f.L, f.data)
+    truncate(mu_in, nu_in, rung, q, support.z)  # zeros outside the support stay zeros
+    mu = np.zeros(f.n * f.n, dtype=complex)
+    nu = np.zeros(f.n * f.n, dtype=complex)
+    mu[support.index], nu[support.index] = mu_in, nu_in
+    return GridField(f.L, mu.reshape(f.n, f.n)), GridField(f.L, nu.reshape(f.n, f.n))
 
 
 def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
@@ -154,7 +152,7 @@ def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
 
 def _reads_w(spec: CoefficientSpec) -> bool:
     """Whether mu or nu reads w, so that the frozen coefficients move with the iterate."""
-    return "w" in free_variables(spec.mu_expr) | free_variables(spec.nu_expr)
+    return "w" in spec.variables
 
 
 def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):

@@ -13,44 +13,50 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, _support_index, _support_samples
+from .coefficients import CoefficientSpec, _support_geometry, _support_samples
 from .dilatation import elliptic_mask, inner_dilatation_p, jacobian
 from .errors import EmptyCompact, NotInvertible
-from .grid import GridField, l2_norm
+from .grid import coordinates, l2_norm
 from .linear_solver import Solution
 
 
 # ---------------------------------------------------------------------------
 # residual
 
-def residual(solution: Solution, spec: CoefficientSpec):
-    """Pointwise f_zbar - mu(z, f) f_z - nu(z, f) conj(f_z) and its norms.
+def residual(solution: Solution, spec: CoefficientSpec, ppm=None):
+    """Pointwise f_zbar - mu(z, f) f_z - nu(z, f) conj(f_z) on the coefficient
+    support, and its norms there.
 
-    Norms are taken over the coefficient support. Samples where the raw
-    coefficient is degenerate (see dilatation.elliptic_mask; a
-    measure-zero set for admissible coefficients) carry no area in the
-    a.e. integral; they are excluded from the norms and counted in the
-    report. The solver's quasi_residual is this l2_rel.
+    Samples where the raw coefficient is degenerate (see
+    dilatation.elliptic_mask; a measure-zero set for admissible
+    coefficients) carry no area in the a.e. integral; they are excluded
+    from the norms and counted in the report. The solver's quasi_residual
+    is this l2_rel. Returns (res, norms): res is the residual at the
+    support samples, in the order of their grid indices, and may be
+    non-finite where the coefficient is. The heatmap of |res| over the
+    whole grid, zero off the support and at degenerate samples, goes to
+    the path `ppm` when given; only then is a grid built.
     """
     f = solution.f
-    # the returned grid outlives the support-sized temporaries; allocating
-    # it first keeps it from splitting the heap space they free
-    out = np.zeros(f.data.shape, dtype=complex)
-    inside, mu, nu = _support_samples(spec, f.L, f.data)
-    fz = solution.fz.data.flat[inside]
-    res = solution.fzbar.data.flat[inside] - mu * fz - nu * np.conj(fz)
+    support, mu, nu = _support_samples(spec, f.L, f.data)
+    fz = solution.fz.data.ravel()[support.index]
+    res = solution.fzbar.data.ravel()[support.index] - mu * fz - nu * np.conj(fz)
     good = elliptic_mask(mu, nu)
     norms = {
         "l2_rel": l2_norm(res[good]) / max(l2_norm(fz), 1e-300),
         "sup": float(np.abs(res[good]).max()) if good.any() else 0.0,
         "degenerate_samples": int(good.size - good.sum()),
     }
-    out.flat[inside] = np.where(good, res, 0.0)
-    return GridField(f.L, out), norms
+    if ppm is not None:
+        heat = np.zeros(f.n * f.n)
+        heat[support.index] = np.where(good, np.abs(res), 0.0)
+        write_ppm(heat.reshape(f.n, f.n), ppm)
+    return res, norms
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +64,16 @@ def residual(solution: Solution, spec: CoefficientSpec):
 
 def jacobian_stats(solution: Solution, spec: CoefficientSpec, ppm=None):
     """min J and the fraction of samples with J <= 0 over the spec's support;
-    the heatmap of J over the whole grid goes to the path `ppm` when given."""
-    J = jacobian(solution.fz.data, solution.fzbar.data)
-    if ppm is not None:
+    the heatmap of J over the whole grid goes to the path `ppm` when given,
+    and only then is J formed off the support."""
+    fz, fzbar = solution.fz.data, solution.fzbar.data
+    index = _support_geometry(solution.f.L, solution.f.n, spec.support_radius).index
+    if ppm is None:
+        J = jacobian(fz.ravel()[index], fzbar.ravel()[index])
+    else:
+        J = jacobian(fz, fzbar)
         write_ppm(J, ppm)
-    J = J.flat[_support_index(solution.f.L, solution.f.n, spec.support_radius)]
+        J = J.ravel()[index]
     return {
         "min": float(J.min()),
         "fraction_nonpositive": float((J <= 0.0).mean()),
@@ -80,17 +91,6 @@ _CELL_TRIANGLES = (
     ((_LO, _LO), (_LO, _HI), (_HI, _LO)),
     ((_HI, _HI), (_HI, _LO), (_LO, _HI)),
 )
-
-
-def _triangles(solution: Solution):
-    """Split every grid cell into two triangles; return image and source vertices
-    A, B, C, Az, Bz, Cz as flat arrays in triangle order."""
-    return tuple(np.concatenate([g[tri[v]].ravel() for tri in _CELL_TRIANGLES])
-                 for g in (solution.f.data, solution.f.z) for v in range(3))
-
-
-def _signed_area2(A, B, C):
-    return _cross(B - A, C - A)
 
 
 def _cross(u, v):
@@ -281,6 +281,23 @@ def _locate(solution: Solution, w_half: float, image_n: int, source_mask):
     return out.reshape(image_n, image_n)
 
 
+@lru_cache(maxsize=16)
+def _audit_geometry(L: float, n: int, radius: float):
+    """The inverse audit's samples of the (L, n) grid, read-only: the flat
+    indices of the ring within two steps of the support circle (of the
+    outer rim if none lies there), and the source mask |z| <= min(1.5
+    radius, 0.75 L)."""
+    r = np.abs(coordinates(L, n))
+    ring = np.abs(r - radius) < 2 * (2.0 * L / n)
+    if not ring.any():
+        ring = r > 0.9 * r.max()
+    ring = np.flatnonzero(ring)
+    source_mask = r <= min(radius * 1.5, L * 0.75)
+    for array in (ring, source_mask):
+        array.flags.writeable = False
+    return ring, source_mask
+
+
 def inverse_dilatation_audit(solution: Solution, spec: CoefficientSpec, p: float,
                              injectivity=None):
     """Integrate K_{I,p} of the discrete inverse.
@@ -297,13 +314,9 @@ def inverse_dilatation_audit(solution: Solution, spec: CoefficientSpec, p: float
     check = injectivity_check(solution) if injectivity is None else injectivity
     if not check["passed"]:
         raise NotInvertible(f"injectivity check failed: {check}")
-    Z = solution.f.z
-    ring = np.abs(np.abs(Z) - spec.support_radius) < 2 * solution.f.h
-    if not ring.any():
-        ring = np.abs(Z) > 0.9 * np.abs(Z).max()
-    w_half = 0.7 * float(np.abs(solution.f.data[ring]).min())
+    ring, source_mask = _audit_geometry(solution.f.L, solution.f.n, spec.support_radius)
+    w_half = 0.7 * float(np.abs(solution.f.data.ravel()[ring]).min())
     hw = 2.0 * w_half / 96
-    source_mask = np.abs(Z) <= min(spec.support_radius * 1.5, solution.f.L * 0.75)
     g = _locate(solution, w_half, 96, source_mask)
     located = np.isfinite(g.real)
     gy, gx = np.gradient(g, hw, edge_order=1)
@@ -382,17 +395,17 @@ def verification_report(solution: Solution, spec: CoefficientSpec,
     audit at p = 2 whenever injectivity passes.
 
     With a directory `heatmaps`, |residual| and J are also written there as
-    residual.ppm and jacobian.ppm, from the same grids the report reads.
+    residual.ppm and jacobian.ppm; the report is the same either way.
     """
-    res_field, norms = residual(solution, spec)
-    if heatmaps is not None:
-        write_ppm(np.abs(res_field.data), Path(heatmaps) / "residual.ppm")
+    def ppm(name):
+        return None if heatmaps is None else Path(heatmaps) / name
+
+    _, norms = residual(solution, spec, ppm("residual.ppm"))
     report = VerificationReport(
         residual_l2_rel=norms["l2_rel"],
         residual_sup=norms["sup"],
         degenerate_samples=norms["degenerate_samples"],
-        jacobian=jacobian_stats(
-            solution, spec, None if heatmaps is None else Path(heatmaps) / "jacobian.ppm"),
+        jacobian=jacobian_stats(solution, spec, ppm("jacobian.ppm")),
         injectivity=injectivity_check(solution),
     )
     if report.injectivity["passed"]:

@@ -175,7 +175,7 @@ def test_criterion_4_quasilinear_example_run(sec4_256):
     # flips may additionally occur inside the sub-resolution collapse around
     # the degenerate point z = 0; they must stay confined there and carry
     # negligible area, otherwise the run fails.
-    from beltrami_lab.verify import _signed_area2, _triangles
+    from test_verify import _signed_area2, _triangles
 
     A, B, C, Az, _, _ = _triangles(sol)
     area2 = _signed_area2(A, B, C)

@@ -239,16 +239,18 @@ def test_heatmaps_come_from_the_report_grids(archive, tmp_path, monkeypatch):
             counts[name] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(verify, name, call)
-        return fn
 
-    residual, jacobian = counted("residual"), counted("jacobian")
+    counted("residual")
+    counted("jacobian")
     out = tmp_path / "verify"
     assert run(["verify", "--archive", str(archive), "--out", str(out), "--heatmaps"]) == 0
     assert counts == {"residual": 1, "jacobian": 1}
-    # the heatmaps as written when they were computed apart from the report
+    # the heatmaps of the whole-grid residual, zero off the support, and of J
+    from test_verify import full_grid_residual
+
     sol = load_solution(archive)
-    res_field, _ = residual(sol, builtin_catalog("constant-disk", [0.5]))
-    verify.write_ppm(np.abs(res_field.data), tmp_path / "residual.ppm")
+    res, good, _ = full_grid_residual(sol, builtin_catalog("constant-disk", [0.5]))
+    verify.write_ppm(np.abs(np.where(good, res, 0.0)), tmp_path / "residual.ppm")
     verify.write_ppm(jacobian(sol.fz.data, sol.fzbar.data), tmp_path / "jacobian.ppm")
     for name in ("residual.ppm", "jacobian.ppm"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -367,17 +369,51 @@ def test_config_switch_takes_only_true_or_false(archive, tmp_path, capsys):
     assert "heatmaps = maybe" in capsys.readouterr().err
 
 
-def _scipy_loaded_after(code):
-    """scipy modules in sys.modules of a fresh interpreter after running `code`."""
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this package; the last
+    line it prints, parsed as JSON."""
     src = str(Path(beltrami_lab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code + probe], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy_loaded_after(code):
+    """scipy modules in sys.modules of a fresh interpreter after running `code`."""
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy')))")
+    return set(_run_fresh(code + probe))
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # two calls in a row, of two subcommands and one of them through --config,
+    # give the exit codes and files of separate runs, and build one parser
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("grid = 64\nladder = 2,4,8\n")
+
+    def calls(out):
+        return [["solve", "--spec", "constant-disk:0.5", "--config", str(cfg), "--out", str(out)],
+                ["verify", "--archive", str(out), "--heatmaps"]]
+
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    codes, builds = _run_fresh(
+        "import json\nfrom beltrami_lab import cli\nbuilds = []\nbuild = cli.build_parser\n"
+        "cli.build_parser = lambda: builds.append(1) or build()\n"
+        f"codes = [cli.main(argv) for argv in {calls(together)!r}]\n"
+        "print(json.dumps([codes, len(builds)]))")
+    separate = [_run_fresh(f"import json\nfrom beltrami_lab import cli\n"
+                           f"print(json.dumps(cli.main({argv!r})))")
+                for argv in calls(apart)]
+    assert builds == 1
+    assert codes == separate == [0, 0]
+    names = sorted(p.name for p in together.iterdir())
+    assert names == sorted(p.name for p in apart.iterdir())
+    assert {"f.blgf", "ladder.json", "verification.json", "residual.ppm"} <= set(names)
+    for name in names:
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name
 
 
 def test_solve_and_verify_load_no_scipy(tmp_path):

@@ -68,6 +68,25 @@ def test_binary_round_trip(tmp_path):
     assert len(raw) == 16 + 32 * 32 * 16
 
 
+def test_save_writes_the_little_endian_encoding_and_load_reads_it_back(tmp_path):
+    # the samples go out from the array's own buffer in the bytes of the
+    # astype("<c16") encoding, and come back bit for bit, signed zeros,
+    # subnormals and all
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    data[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324 - 5e-324j, 1.7e308]
+    f = GridField(0.75, data)
+    path = tmp_path / "field.blgf"
+    f.save(path)
+    raw = path.read_bytes()
+    assert raw == b"BLGF" + struct.pack("<I", 16) + struct.pack("<d", 0.75) + (
+        data.astype("<c16").tobytes(order="C"))
+    g = load(path)
+    assert g.L == 0.75 and g.data.dtype == complex
+    assert g.data.tobytes() == f.data.tobytes()
+    assert not g.data.flags.writeable
+
+
 def _blgf(n, L, data):
     """A BLGF file's bytes, written without GridField's checks."""
     return b"BLGF" + struct.pack("<Id", n, L) + np.asarray(data, "<c16").tobytes()
@@ -86,6 +105,22 @@ def _one_nan(n):
 ], ids=["n-12", "L-0", "nan-sample"])
 def test_load_names_the_file_of_an_invalid_grid(raw, message, tmp_path):
     # the header is whole and the payload has its length; the grid it describes is not valid
+    path = tmp_path / "bad.blgf"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"BLGF\x10\x00", "header of 6 bytes, not 16"),
+    (b"BLGX" + _blgf(16, 2.0, np.zeros((16, 16)))[4:], "bad magic b'BLGX'"),
+    (_blgf(16, 2.0, np.zeros((16, 16)))[:-1], "4095 bytes of samples, not 16*16^2"),
+    (_blgf(16, 2.0, np.zeros((16, 16))) + b"\0", "4097 bytes of samples, not 16*16^2"),
+    (_blgf(2**31, 2.0, []), "0 bytes of samples, not 16*2147483648^2"),
+], ids=["short-header", "bad-magic", "short-payload", "trailing-bytes", "huge-n"])
+def test_load_names_the_file_of_a_malformed_one(raw, message, tmp_path):
+    # the header and the size are checked before any sample is read
     path = tmp_path / "bad.blgf"
     path.write_bytes(raw)
     with pytest.raises(ValueError) as info:

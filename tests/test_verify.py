@@ -8,7 +8,7 @@ from beltrami_lab.coefficients import (
     builtin_catalog,
     coefficient_fields,
 )
-from beltrami_lab.dilatation import elliptic_mask
+from beltrami_lab.dilatation import elliptic_mask, jacobian
 from beltrami_lab.errors import EmptyCompact, NotInvertible
 from beltrami_lab.grid import coordinates, from_function, l2_norm
 from beltrami_lab.linear_solver import IterationTrace, Normalization, Solution, _write_json
@@ -42,6 +42,18 @@ def make_solution(fn, fz_fn=None, fzbar_fn=None, n=N):
         f=f, fz=fz, fzbar=fzbar, trace=IterationTrace(),
         normalization=Normalization(0j, 1.0, 0.0),
     )
+
+
+def _triangles(solution):
+    """Split every grid cell into two triangles (verify._CELL_TRIANGLES); return
+    image and source vertices A, B, C, Az, Bz, Cz as flat arrays in triangle
+    order: the oracle of the flip count and of the inverse's point location."""
+    return tuple(np.concatenate([g[tri[v]].ravel() for tri in verify._CELL_TRIANGLES])
+                 for g in (solution.f.data, solution.f.z) for v in range(3))
+
+
+def _signed_area2(A, B, C):
+    return verify._cross(B - A, C - A)
 
 
 def zero_spec():
@@ -106,7 +118,8 @@ CATALOG_PARAMS = {"constant-disk": [0.5], "radial-power": [0.9, 1.0], "w-damped-
 
 
 def full_grid_residual(solution, spec):
-    """The residual with the coefficients sampled on the whole grid, then masked."""
+    """The residual with the coefficients sampled on the whole grid: the raw
+    residual grid, the mask of the support's elliptic samples and the norms."""
     Z = solution.f.z
     mu, nu = coefficient_fields(spec, Z, solution.f.data)
     res = solution.fzbar.data - mu * solution.fz.data - nu * np.conj(solution.fz.data)
@@ -117,27 +130,50 @@ def full_grid_residual(solution, spec):
         "sup": float(np.abs(res[good]).max()) if good.any() else 0.0,
         "degenerate_samples": int(support.sum() - good.sum()),
     }
-    return np.where(good, res, 0.0), norms
+    return res, good, norms
+
+
+def wavy_solution():
+    return make_solution(lambda z: z + 0.3 * np.conj(z) * np.exp(-np.abs(z) ** 2), n=64)
 
 
 @pytest.mark.parametrize("entry", sorted(CATALOG))
-def test_residual_equals_full_grid_sampling(entry):
-    # sampling inside the support only must not change a bit of the grid or its norms
+def test_residual_equals_full_grid_sampling(entry, tmp_path):
+    # sampling inside the support only must not change a bit of the norms,
+    # of the residual on the support or of the heatmap over the whole grid
     spec = builtin_catalog(entry, CATALOG_PARAMS.get(entry, []))
-    sol = make_solution(lambda z: z + 0.3 * np.conj(z) * np.exp(-np.abs(z) ** 2), n=64)
-    got, norms = residual(sol, spec)
-    ref, ref_norms = full_grid_residual(sol, spec)
-    assert got.data.tobytes() == ref.tobytes()
+    sol = wavy_solution()
+    res, norms = residual(sol, spec, ppm=tmp_path / "residual.ppm")
+    ref, good, ref_norms = full_grid_residual(sol, spec)
     assert norms == ref_norms
+    assert res.tobytes() == ref[np.abs(sol.f.z) <= spec.support_radius].tobytes()
+    write_ppm(np.abs(np.where(good, ref, 0.0)), tmp_path / "reference.ppm")
+    assert (tmp_path / "residual.ppm").read_bytes() == (tmp_path / "reference.ppm").read_bytes()
+    assert residual(sol, spec)[1] == norms
+
+
+@pytest.mark.parametrize("entry", sorted(CATALOG))
+def test_jacobian_stats_equal_full_grid(entry, tmp_path):
+    # J formed on the support samples only gives the statistics of the whole
+    # grid's J read there, bit for bit; the heatmap is the whole grid's
+    spec = builtin_catalog(entry, CATALOG_PARAMS.get(entry, []))
+    sol = wavy_solution()
+    J = jacobian(sol.fz.data, sol.fzbar.data)
+    inside = J[np.abs(sol.f.z) <= spec.support_radius]
+    ref = {"min": float(inside.min()), "fraction_nonpositive": float((inside <= 0.0).mean())}
+    assert jacobian_stats(sol, spec) == ref
+    assert jacobian_stats(sol, spec, ppm=tmp_path / "jacobian.ppm") == ref
+    write_ppm(J, tmp_path / "reference.ppm")
+    assert (tmp_path / "jacobian.ppm").read_bytes() == (tmp_path / "reference.ppm").read_bytes()
 
 
 def test_grid_sampling_reads_only_support_samples(monkeypatch):
     seen = []
     fields = coefficients.coefficient_fields
 
-    def spy(spec, z, w):
+    def spy(spec, z, w, **kwargs):
         seen.append(np.asarray(z))
-        return fields(spec, z, w)
+        return fields(spec, z, w, **kwargs)
 
     monkeypatch.setattr(coefficients, "coefficient_fields", spy)
     spec = builtin_catalog("paper-example-sec4")
@@ -209,7 +245,7 @@ def test_injectivity_matches_full_matrix_reference(fn, monkeypatch):
     # reference: flips from the concatenated triangles of _triangles, and the
     # winding test's points from the full (centers x vertices) distance matrix
     sol = make_solution(fn, n=32)
-    A, B, C, *_ = verify._triangles(sol)
+    A, B, C, *_ = _triangles(sol)
     poly = verify._boundary_polygon(sol.f.data)
     bx = np.linspace(poly.real.min(), poly.real.max(), 49)
     by = np.linspace(poly.imag.min(), poly.imag.max(), 49)
@@ -222,7 +258,7 @@ def test_injectivity_matches_full_matrix_reference(fn, monkeypatch):
     monkeypatch.setattr(verify, "_winding_numbers",
                         lambda p, pts: seen.append(pts) or winding(p, pts))
     out = verify.injectivity_check(sol)
-    assert out["orientation_flips"] == int((verify._signed_area2(A, B, C) < 0).sum())
+    assert out["orientation_flips"] == int((_signed_area2(A, B, C) < 0).sum())
     assert len(seen) == 1 and np.array_equal(seen[0], inner)
     assert not out["passed"]
 
@@ -241,8 +277,8 @@ def test_flip_count_matches_signed_areas(n):
     # a jittered identity flips triangles of both kinds, in every block of rows
     jitter = np.random.default_rng(n).normal(scale=0.4 * 2 * L / n, size=(n, n, 2))
     sol = make_solution(lambda z: z + jitter[..., 0] + 1j * jitter[..., 1], n=n)
-    A, B, C, *_ = verify._triangles(sol)
-    area2 = verify._signed_area2(A, B, C)
+    A, B, C, *_ = _triangles(sol)
+    area2 = _signed_area2(A, B, C)
     half = len(area2) // 2  # lower-left triangles, then upper-right ones
     assert (area2[:half] < 0).sum() != (area2[half:] < 0).sum()
     assert injectivity_check(sol)["orientation_flips"] == int((area2 < 0).sum())
@@ -348,14 +384,16 @@ def test_inverse_audit_takes_callers_injectivity_result():
 
 
 def test_inverse_audit_builds_no_full_triangle_list(monkeypatch):
-    # _locate reads the masked triangles off the grid; _triangles stays the
-    # tests' reference only
-    def refuse(solution):
-        raise AssertionError("the inverse audit concatenated every triangle")
-
-    monkeypatch.setattr(verify, "_triangles", refuse)
+    # _locate reads only the masked triangles that reach the lattice off the
+    # grid; the full list of _triangles is the tests' reference only
+    built = []
+    window_triangles = verify._window_triangles
+    monkeypatch.setattr(verify, "_window_triangles",
+                        lambda *args: built.append(window_triangles(*args)) or built[-1])
     out = inverse_dilatation_audit(affine_solution(0.5), zero_spec(), p=2.0)
     assert out["mean_KIp"] == pytest.approx(3.0, rel=1e-3)
+    assert not hasattr(verify, "_triangles")
+    assert len(built) == 1 and len(built[0][0]) < len(_triangles(affine_solution(0.5))[0]) / 2
 
 
 def lattice(w_half, image_n):
@@ -404,7 +442,7 @@ def reference_scan(sol, w_half, image_n, mask):
     """Each lattice point scans all masked triangles in order and takes the
     first that contains it, with the barycentric formulas of _locate."""
     A, B, C, Az, Bz, Cz = (arr[np.tile(mask[:-1, :-1].ravel(), 2)]
-                           for arr in verify._triangles(sol))
+                           for arr in _triangles(sol))
     v0, v1 = B - A, C - A
     den = v0.real * v1.imag - v0.imag * v1.real
     W = lattice(w_half, image_n)
@@ -447,6 +485,19 @@ def test_locate_reads_only_triangles_that_reach_the_lattice(monkeypatch):
     assert np.isfinite(g.real).all()
     assert np.array_equal(g, reference_scan(sol, 0.35, 24, mask), equal_nan=True)
     assert len(built) == 1 and len(built[0][0]) < 0.25 * 2 * mask[:-1, :-1].sum()
+
+
+@pytest.mark.parametrize("fn", [constant_disk_closed_form, lambda z: z * z],
+                         ids=["injective", "double-cover"])
+def test_report_is_the_same_with_and_without_heatmaps(fn, tmp_path):
+    # the heatmaps are drawn from whole grids, the report from the support
+    # samples; drawing them changes no number of the report
+    sol = make_solution(fn)
+    spec = builtin_catalog("paper-example-sec4")
+    plain = verification_report(sol, spec)
+    drawn = verification_report(sol, spec, heatmaps=tmp_path)
+    assert plain == drawn
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jacobian.ppm", "residual.ppm"]
 
 
 def test_verification_report_runs_injectivity_once(monkeypatch):
@@ -511,8 +562,7 @@ def test_verification_report_and_ppm(tmp_path):
     _write_json(report, tmp_path / "verification.json")
     assert (tmp_path / "verification.json").exists()
 
-    res_field, _ = residual(sol, spec)
-    write_ppm(np.abs(res_field.data), tmp_path / "res.ppm")
+    residual(sol, spec, ppm=tmp_path / "res.ppm")
     raw = (tmp_path / "res.ppm").read_bytes()
     assert raw.startswith(b"P6 128 128 255\n")
     assert len(raw) == len(b"P6 128 128 255\n") + 3 * 128 * 128
