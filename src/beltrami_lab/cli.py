@@ -13,7 +13,6 @@ configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import fields
@@ -26,7 +25,7 @@ from . import coefficients, conditions, verify
 from .coefficients import CATALOG, builtin_catalog, load_spec_file, spec_from_dict, spec_to_dict
 from .dilatation import tangential_dilatation
 from .errors import BeltramiLabError, BoundViolation, ConfigError
-from .linear_solver import _write_json, save_solution
+from .linear_solver import _write_json, load_solution, read_meta, save_solution
 from .quasilinear import SolverConfig, solve_quasilinear
 
 
@@ -148,17 +147,14 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    from .linear_solver import load_solution
-
     src = Path(args.archive)
     out = _outdir(args, src)
-    meta_path = src / "meta.json"
-    meta = json.loads(meta_path.read_text())
+    meta = read_meta(src)
     solution = load_solution(src, meta)
     if args.spec:
         spec = _resolve_spec(args.spec)
     elif "spec" in meta:
-        spec = spec_from_dict(meta["spec"], source=meta_path)
+        spec = spec_from_dict(meta["spec"], source=src / "meta.json")
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
     _verify(solution, spec, out, args.heatmaps)

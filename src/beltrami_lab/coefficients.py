@@ -203,7 +203,7 @@ def builtin_catalog(name: str, params=()) -> CoefficientSpec:
 
 # ---------------------------------------------------------------------------
 # serialization: a flat dict of strings and the support radius, written into
-# solution archives and, as key = value text, into spec files
+# solution archives and read, as key = value text, from spec files
 
 def spec_to_dict(spec: CoefficientSpec) -> dict:
     """The label, mu and nu as written, and support radius of a spec."""
@@ -238,14 +238,6 @@ def spec_from_dict(fields: dict, source=None) -> CoefficientSpec:
         if source is not None:
             exc.args = (f"{source}: {exc}",)
         raise
-
-
-def save_spec_file(spec: CoefficientSpec, path):
-    fields = spec_to_dict(spec)
-    lines = [f'{key} = "{fields[key]}"' for key in ("label", "mu", "nu")]
-    lines.append(f"support_radius = {fields['support_radius']!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_key_values(path) -> dict:

@@ -22,13 +22,13 @@ from .dilatation import maximal_dilatation, tangential_dilatation
 from .errors import BoundViolation, QuadratureFailure
 from .expressions import (
     MAJORANT_VARIABLES,
-    RADIAL_VARIABLES,
     evaluate,
     parse_expression,
     standard_env,
 )
 
 EPS_LADDER = tuple(2.0 ** -k for k in range(3, 13))
+_DELTA_MIN = EPS_LADDER[-5]  # a divergence integral needs 5 eps values below its delta
 
 CONVERGENT = "CONVERGENT"
 DIVERGENT = "DIVERGENT"
@@ -54,16 +54,6 @@ class MajorantSpec:
 
 def parse_majorant(text: str) -> MajorantSpec:
     return MajorantSpec(tree=parse_expression(text, MAJORANT_VARIABLES))
-
-
-def parse_radial_weight(text: str):
-    """Parse an expression in the radius variable t into a callable of t."""
-    tree = parse_expression(text, RADIAL_VARIABLES)
-
-    def weight(t):
-        return float(np.real(evaluate(tree, {"t": complex(t)})))
-
-    return weight
 
 
 def circle_mean(q, z0: complex, r: float, m: int = 64) -> float:
@@ -137,7 +127,8 @@ def divergence_integral(q, z0: complex, delta: float) -> DivergenceReport:
     """Classify int_0 dr/(r qbar(r)) by partial integrals I(eps) = int_eps^delta."""
     eps_ladder = [e for e in EPS_LADDER if e < delta]
     if len(eps_ladder) < 5:
-        raise ValueError("eps ladder must reach at least 5 values below delta")
+        raise ValueError(f"divergence integral: delta = {delta:g}, but delta must exceed "
+                         f"{_DELTA_MIN:g} to leave 5 eps values below it")
 
     psi = default_psi(q, z0)
 
@@ -212,65 +203,8 @@ def fmo_estimate(q, x0: complex) -> FmoReport:
     return FmoReport(eps=list(EPS_LADDER), means=means, oscillations=oscs, verdict=verdict)
 
 
-@dataclass
-class PsiReport:
-    eps: list
-    I_values: list
-    finite_positive: bool
-    I_unbounded: str
-    R_values: list
-    o_I2: bool
-    admissible: bool
-
-
-def psi_admissibility(psi, q1, z0: complex, eps0: float, eps_prime: float) -> PsiReport:
-    """Check 0 < I(eps, eps0) < inf, I -> inf, and the o(I^2) smallness.
-
-    psi is an expression in t, or a callable of t (for instance the
-    default 1/(t qbar(t)) built by default_psi). R(eps) is the annulus
-    integral of q1 psi^2 divided by I^2 and must tend to zero.
-    """
-    if isinstance(psi, str):
-        psi = parse_radial_weight(psi)
-    if not 0 < eps_prime <= eps0:
-        raise ValueError("need 0 < eps_prime <= eps0")
-    ladder = [e for e in EPS_LADDER if e < eps_prime]
-    if len(ladder) < 4:
-        raise ValueError("eps ladder must reach at least 4 values below eps_prime")
-
-    def psi_val(t):
-        v = float(psi(t))
-        if not np.isfinite(v) or v < 0:
-            raise QuadratureFailure(f"psi not finite/nonnegative at t = {t:.6g}")
-        return v
-
-    def annulus_integrand(t):
-        return 2.0 * np.pi * t * circle_mean(q1, z0, t) * psi_val(t) ** 2
-
-    I_vals = _partial_integrals(psi_val, eps0, ladder)
-    R_vals = [acc_R / acc_I**2 if acc_I > 0 else np.inf
-              for acc_I, acc_R in zip(I_vals, _partial_integrals(annulus_integrand, eps0, ladder))]
-    finite_positive = all(0.0 < acc_I < np.inf for acc_I in I_vals)
-    unbounded, _, _ = _growth_verdict(np.diff(I_vals))
-    o_i2 = bool(
-        len(R_vals) >= 2
-        and R_vals[-1] < 0.75 * max(R_vals[0], 1e-300)
-        and R_vals[-1] == min(R_vals)
-    )
-    admissible = finite_positive and unbounded == DIVERGENT and o_i2
-    return PsiReport(
-        eps=ladder,
-        I_values=I_vals,
-        finite_positive=finite_positive,
-        I_unbounded=unbounded,
-        R_values=R_vals,
-        o_I2=o_i2,
-        admissible=admissible,
-    )
-
-
 def default_psi(q1, z0: complex):
-    """The standard admissible choice psi(t) = 1/(t qbar_{z0}(t))."""
+    """The weight psi(t) = 1/(t qbar_{z0}(t)) that divergence_integral integrates."""
 
     def psi(t):
         qb = circle_mean(q1, z0, t)
@@ -333,7 +267,9 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
     divergence audits of Q1 at every probe point.
 
     Bounds are sampled at 24 random z (seed 0) and 64 phases; the
-    divergence integral at z0 ends at half its distance to the support.
+    divergence integral at z0 ends at half its distance to the support
+    boundary, so every probe must lie more than 2^-7 inside the support,
+    which is checked before any sampling.
 
     Q and q1 are majorants, callables of a z array such as a
     MajorantSpec; q1 serves every probe. The per-probe hypothesis holds
@@ -344,6 +280,12 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
     matching w_max or the audit raises BoundViolation with a witness.
     """
     probe_points = [complex(p) for p in probe_points]
+    reach = spec.support_radius - 2.0 * _DELTA_MIN
+    for z0 in probe_points:
+        if not abs(z0) < reach:
+            raise ValueError(f"probe z0 = {z0:g}: |z0| = {abs(z0):.6g}, but the divergence "
+                             f"audit needs |z0| < {reach:.6g}, the support radius "
+                             f"{spec.support_radius:g} less {2.0 * _DELTA_MIN:g}")
     rng = np.random.default_rng(0)
     radii = spec.support_radius * np.sqrt(rng.uniform(0.001, 0.97, 24))
     angles = rng.uniform(0.0, 2.0 * np.pi, 24)
@@ -368,7 +310,7 @@ def audit_theorem1(spec: CoefficientSpec, Q, q1, probe_points,
 
     probes = []
     for z0 in probe_points:
-        delta = 0.5 * max(spec.support_radius - abs(z0), 1e-6)
+        delta = 0.5 * (spec.support_radius - abs(z0))
         fmo = fmo_estimate(q1, z0)
         div = divergence_integral(q1, z0, delta)
         ok = fmo.verdict == LIKELY_FMO or div.verdict == DIVERGENT

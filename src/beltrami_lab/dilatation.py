@@ -84,13 +84,3 @@ def inner_dilatation_p(fz, fzbar, p):
         base = np.where(d > 0.0, s / np.where(d > 0.0, d, 1.0), np.inf)
         out = np.where(s == 0.0, 1.0, base * np.where(d > 0.0, d, 1.0) ** (2.0 - p))
     return _maybe_scalar(out, np.isscalar(fz) and np.isscalar(fzbar))
-
-
-def effective_single_coefficient(mu, nu, ratio):
-    """Collapse (mu, nu) to the single coefficient mu + ratio * nu.
-
-    ratio is conj(df)/df, unimodular at regular points (0 at conformal
-    ones), so |result| <= |mu| + |nu| and the collapsed dilatation never
-    exceeds the two-characteristic one.
-    """
-    return mu + ratio * nu

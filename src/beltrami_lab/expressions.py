@@ -40,7 +40,6 @@ from .errors import ParseError, UnknownIdentifier
 
 COEFFICIENT_VARIABLES = frozenset({"z", "w", "r", "theta"})
 MAJORANT_VARIABLES = frozenset({"z", "r", "theta"})
-RADIAL_VARIABLES = frozenset({"t"})
 
 FUNCTIONS = ("exp", "conj", "abs", "re", "im", "arg", "sqrt", "log")
 MAX_DEPTH = 100  # deepest accepted expression; see the module docstring

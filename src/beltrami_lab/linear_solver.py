@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import islice
 from pathlib import Path
@@ -269,16 +270,25 @@ def save_solution(sol: Solution, outdir, extra_meta=None):
     return out
 
 
+def read_meta(indir) -> dict:
+    """An archive's parsed meta.json; text that is not JSON is a ValueError naming the file."""
+    path = Path(indir) / "meta.json"
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_solution(indir, meta=None) -> Solution:
     """Read an archive; keys it does not read (older archives carry more) are ignored.
 
-    meta is the archive's parsed meta.json, for a caller that reads other
-    keys of it too; by default the file is read here.
+    meta is the archive's read_meta, for a caller that reads other keys of
+    it too; by default the file is read here.
     """
     src = Path(indir)
     path = src / "meta.json"
     if meta is None:
-        meta = json.loads(path.read_text())
+        meta = read_meta(src)
 
     def field(where, what, ok):
         return _meta_field(meta, where, path, what, ok)
@@ -301,7 +311,10 @@ def load_solution(indir, meta=None) -> Solution:
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that a finite float holds: json reads NaN, Infinity
+    and 1e999 as floats that the writer refuses, and any digit string as an int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _numbers(value):

@@ -605,7 +605,7 @@ def _exits_1(argv, capsys, message):
     # no float holds 1e999, and inf would be another number than the one written
     (["analyze", "--Q", "1e999"], "number '1e999' overflows a float (offset 0)"),
     (["analyze", "--Q", "3", "--Q1", "3", "--z0", "0.999"],
-     "eps ladder must reach at least 5 values below delta"),
+     "probe z0 = 0.999+0j: |z0| = 0.999, but the divergence audit needs |z0| < 0.992188"),
     (["solve", "--grid", "32", "--box", "1", "--margins", "0.5,0.25"],
      "box must contain the normalization points"),
 ], ids=["character", "unclosed", "trailing", "overflow", "probe-at-rim", "box-1"])
@@ -638,13 +638,21 @@ def test_bad_spec_file_exits_1_before_any_archive(text, message, tmp_path, capsy
      "argument --z0: invalid complex value: 'abc'"),
     (["solve", "--spec", "constant-disk:abc"],
      "spec 'constant-disk:abc': could not convert string to float: 'abc'"),
-], ids=["z0", "catalog-parameter"])
+    # the divergence integral at z0 ends at half the distance to the support rim
+    (["analyze", "--spec", "constant-disk:0.5", "--Q", "3", "--Q1", "3", "--z0", "0", "1.5"],
+     "probe z0 = 1.5+0j: |z0| = 1.5, but the divergence audit needs |z0| < 0.992188, "
+     "the support radius 1 less 0.0078125"),
+    (["example", "--skip-solve", "--delta", "0.003"],
+     "divergence integral: delta = 0.003, but delta must exceed 0.00390625 "
+     "to leave 5 eps values below it"),
+], ids=["z0", "catalog-parameter", "probe-outside-support", "example-delta"])
 def test_bad_cli_value_names_its_input(argv, message, tmp_path, capsys):
     capsys.readouterr()
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     # a usage error prints the usage lines first; the last line is the error
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error:") and last.endswith(message)
+    assert not (tmp_path / "out" / "conditions.json").exists()
 
 
 def _drop_normalization(meta):
@@ -683,6 +691,25 @@ def _scale_as_text(meta):
     meta["normalization"]["scale"] = "x"
 
 
+def _not_json(meta):
+    return "{bad"
+
+
+def _arg_f1_nan(meta):
+    meta["normalization"]["arg_f1"] = float("nan")  # json.dumps writes NaN
+
+
+def _arg_f1_too_big(meta):
+    # json reads any digit string as an int, and this one overflows a float
+    meta["normalization"]["arg_f1"] = 10 ** 400
+
+
+def _update_norm_overflows(meta):
+    # json reads 1e999 as inf
+    meta["trace"]["update_norms"] = ["overflow"]
+    return json.dumps(meta).replace('"overflow"', "1e999")
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_normalization, "meta.json: no key 'normalization'"),
     (_drop_spec_mu, "spec missing keys ['mu']"),
@@ -693,15 +720,22 @@ def _scale_as_text(meta):
     (_spec_support_null, "meta.json: support_radius must be a number, not None"),
     (_translation_as_number, "meta.json: normalization/translation is 5, not a pair of numbers"),
     (_scale_as_text, "meta.json: normalization/scale is 'x', not a positive number"),
+    (_not_json, "meta.json: Expecting property name enclosed in double quotes"),
+    (_arg_f1_nan, "meta.json: normalization/arg_f1 is nan, not a number"),
+    (_arg_f1_too_big,
+     f"meta.json: normalization/arg_f1 is {'1' + '0' * 39}, not a number"),
+    (_update_norm_overflows, "meta.json: trace/update_norms is [inf], not a list of numbers"),
 ], ids=["no-normalization", "spec-without-mu", "trace-list", "spec-text", "no-spec",
-        "spec-mu-number", "spec-support-null", "translation-number", "scale-text"])
+        "spec-mu-number", "spec-support-null", "translation-number", "scale-text",
+        "not-json", "arg-f1-nan", "arg-f1-too-big", "update-norm-overflow"])
 def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
+    # corrupt edits the parsed meta.json in place, or returns the text to write instead
     out = tmp_path / "run"
     assert run(["solve", "--spec", "constant-disk:0.5", "--grid", "32", "--ladder", "2,4,8",
                 "--out", str(out)]) == 0
     meta = json.loads((out / "meta.json").read_text())
-    corrupt(meta)
-    (out / "meta.json").write_text(json.dumps(meta))
+    text = corrupt(meta)
+    (out / "meta.json").write_text(json.dumps(meta) if text is None else text)
     capsys.readouterr()
     assert run(["verify", "--archive", str(out)]) == 1
     err = capsys.readouterr().err

@@ -12,7 +12,6 @@ from beltrami_lab.coefficients import (
     coefficient_fields,
     eval_coefficients,
     load_spec_file,
-    save_spec_file,
     spec_from_dict,
     spec_to_dict,
     rung_bound,
@@ -167,6 +166,14 @@ def test_caratheodory_continuity_in_w():
     for delta in (1e-3, 1e-5, 1e-7):
         pert = eval_coefficients(spec, z, w + delta * (1 + 1j))[0]
         assert abs(pert - base) < 10 * delta
+
+
+def save_spec_file(spec, path):
+    """Write spec as the key = value text that load_spec_file reads."""
+    fields = spec_to_dict(spec)
+    lines = [f'{key} = "{fields[key]}"' for key in ("label", "mu", "nu")]
+    lines.append(f"support_radius = {fields['support_radius']!r}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_spec_file_round_trip(tmp_path):

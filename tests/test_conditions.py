@@ -12,12 +12,10 @@ from beltrami_lab.conditions import (
     LIKELY_NOT_FMO,
     audit_theorem1,
     circle_mean,
-    default_psi,
     disk_integral,
     divergence_integral,
     fmo_estimate,
     parse_majorant,
-    psi_admissibility,
 )
 from beltrami_lab.errors import BoundViolation, QuadratureFailure
 from beltrami_lab.linear_solver import _write_json
@@ -121,34 +119,6 @@ def test_fmo_reciprocal_radius_grows():
     np.testing.assert_allclose(rep.means, 2.0 / np.asarray(rep.eps), rtol=1e-6)
 
 
-def test_psi_reciprocal_is_admissible():
-    # psi = 1/t with q1 = 1: I = log(eps0/eps) -> inf, R = 2 pi / I -> 0
-    rep = psi_admissibility(lambda t: 1.0 / t, parse_majorant("1"), 0,
-                            eps0=0.25, eps_prime=0.25)
-    assert rep.finite_positive
-    assert rep.I_unbounded == DIVERGENT
-    assert rep.o_I2
-    assert rep.admissible
-    expected_R = 2 * np.pi / np.log(0.25 / np.asarray(rep.eps))
-    np.testing.assert_allclose(rep.R_values, expected_R, rtol=1e-5)
-
-
-def test_psi_constant_not_admissible():
-    # as an expression in t this time
-    rep = psi_admissibility("1+0*t", parse_majorant("1"), 0,
-                            eps0=0.25, eps_prime=0.25)
-    assert rep.I_unbounded == CONVERGENT
-    assert not rep.admissible
-
-
-def test_default_psi_for_reciprocal_majorant_not_admissible():
-    # q1 = 1/r gives psi = 1/(t q(t)) = 1, a bounded integral
-    q1 = parse_majorant("1/r")
-    rep = psi_admissibility(default_psi(q1, 0), q1, 0, eps0=0.25, eps_prime=0.25)
-    assert rep.I_unbounded == CONVERGENT
-    assert not rep.admissible
-
-
 def test_audit_constant_disk_trivial():
     spec = builtin_catalog("constant-disk", [0.5])
     Q = parse_majorant("3")    # K = (1+0.5)/(1-0.5) = 3 exactly
@@ -238,14 +208,11 @@ def test_report_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("c", ["1", "1e14", "1e20"])
-def test_constant_majorant_divergence_agrees_with_psi(c):
+def test_constant_majorant_diverges_without_limit(c):
     # the increments ln(2)/c stay equal however small a large c makes them
-    q = parse_majorant(c)
-    rep = divergence_integral(q, 0, delta=0.5)
+    rep = divergence_integral(parse_majorant(c), 0, delta=0.5)
     assert rep.verdict == DIVERGENT
     assert rep.limit is None
-    psi = psi_admissibility(default_psi(q, 0), q, 0, eps0=0.5, eps_prime=0.5)
-    assert psi.I_unbounded == rep.verdict
 
 
 def test_circle_mean_of_a_majorant_infinite_on_the_circle_raises():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from beltrami_lab.coefficients import builtin_catalog, eval_coefficients
 from beltrami_lab.dilatation import (
-    effective_single_coefficient,
     inner_dilatation_p,
     jacobian,
     map_dilatation,
@@ -112,13 +111,6 @@ def test_inner_dilatation_p2_is_map_dilatation_exactly(a, b, pa, pb):
     fz = a * np.exp(1j * pa)
     fzbar = a * b * np.exp(1j * pb)
     assert inner_dilatation_p(fz, fzbar, 2.0) == map_dilatation(fz, fzbar)
-
-
-def test_effective_single_coefficient():
-    assert effective_single_coefficient(0.3, 0, 1j) == 0.3
-    assert effective_single_coefficient(0.2, 0.3, np.exp(1j * np.pi)) == pytest.approx(-0.1)
-    val = effective_single_coefficient(0.2, 0.3, 1.0)
-    assert abs(val) <= 0.5 + 1e-15
 
 
 def test_vectorized_paths_match_scalar():

@@ -277,15 +277,13 @@ def test_conformal_outside_support():
 
 
 def test_effective_coefficient_bounded_by_k():
-    # collapsing (mu, nu) through the solution's derivative ratio never
-    # exceeds the two-characteristic bound
-    from beltrami_lab.dilatation import effective_single_coefficient
-
+    # collapsing (mu, nu) to mu + ratio nu through the solution's derivative
+    # ratio conj(fz)/fz never exceeds the two-characteristic bound
     prob = constant_disk_problem(0.5, nu_side=True)
     sol = solve_linear(prob, CFG)
     fz = sol.fz.data
     ratio = np.where(fz != 0, np.conj(fz) / np.where(fz != 0, fz, 1), 0)
-    mu_eff = effective_single_coefficient(prob.mu.data, prob.nu.data, ratio)
+    mu_eff = prob.mu.data + ratio * prob.nu.data
     assert np.abs(mu_eff).max() <= 0.5 + 1e-12
 
 
