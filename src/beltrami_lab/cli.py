@@ -126,10 +126,10 @@ def cmd_catalog(args):
 
 def cmd_analyze(args):
     spec = _resolve_spec(args.spec)
-    out = _outdir(args, "analyze-out")
     Q = conditions.parse_majorant(args.Q)
     q1 = conditions.parse_majorant(args.Q1)
     report = conditions.audit_theorem1(spec, Q, q1, args.z0, w_max=args.w_max)
+    out = _outdir(args, "analyze-out")  # a refused input leaves no directory
     _write_json(report, out / "conditions.json", nulls=True)
     print(f"bound check: max K - Q = {report.max_k_minus_q:.3g}, "
           f"max K^T - Q1 = {report.max_kt_minus_q1:.3g}")
@@ -163,6 +163,10 @@ def cmd_verify(args):
 
 def cmd_example(args):
     """End-to-end run of the unit-disk example with unbounded dilatation."""
+    # inputs are checked before any output: no line printed, no directory made
+    conditions.eps_ladder(args.delta)
+    # grid 128 keeps the default example under 10 s
+    cfg = None if args.skip_solve else _solver_config(args, grid_n=128)
     out = _outdir(args, "example-out")
     results = {}
 
@@ -205,9 +209,8 @@ def cmd_example(args):
     results["kt_samples"] = kt
 
     code = 0
-    if not args.skip_solve:
+    if cfg is not None:
         spec = builtin_catalog("paper-example-sec4")
-        cfg = _solver_config(args, grid_n=128)  # keep the default example under 10 s
         solution, report = _solve(spec, cfg, out / "solution")
         _verify(solution, spec, out / "solution", heatmaps=False)
         if not report.ladder_converged:

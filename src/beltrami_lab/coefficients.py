@@ -4,11 +4,11 @@ A CoefficientSpec holds the formula text of both characteristics, parsed
 once into expression trees, and a compact support radius; both vanish
 outside |z| <= support_radius.
 Every grid sampling reads one cached geometry of the support samples
-(their indices, z, r and theta) and evaluates the expressions there
-only. `truncate` cuts sampled
-coefficients down to a rung n: by K it zeroes them wherever their own
-maximal dilatation exceeds n, by Q wherever a user-supplied majorant
-Q(z) exceeds n; either way the truncated pair satisfies
+(their indices and z; r and theta are cached apart, for a spec that
+reads them) and evaluates the expressions there only. `truncate` cuts
+sampled coefficients down to a rung n: by K it zeroes them wherever
+their own maximal dilatation exceeds n, by Q wherever a user-supplied
+majorant Q(z) exceeds n; either way the truncated pair satisfies
 |mu_n| + |nu_n| <= rung_bound(n) = (n-1)/(n+1).
 
 Evaluation is Caratheodory-shaped: measurable (here: deterministic and
@@ -60,9 +60,9 @@ class CoefficientSpec:
 def coefficient_fields(spec: CoefficientSpec, z, w, polar=None):
     """Evaluate (mu, nu) on arrays of z and w values, zero outside the support.
 
-    `polar`, when given, is (r, theta) of z as floats, for samples that all
-    lie in the support (a grid's SupportGeometry): r and theta are read from
-    it, only where the formulas use them, and no sample is tested.
+    `polar`, when given, returns (r, theta) of z as floats, for samples
+    that all lie in the support (a grid's `_support_polar`): it is called
+    only when the formulas read r or theta, and no sample is tested.
     """
     z = np.asarray(z, dtype=complex)
     w = np.broadcast_to(np.asarray(w, dtype=complex), z.shape)
@@ -70,8 +70,9 @@ def coefficient_fields(spec: CoefficientSpec, z, w, polar=None):
         env = standard_env(z, w)
     else:
         env = {"z": z, "w": w}
-        env.update((name, v.astype(complex)) for name, v in zip(("r", "theta"), polar)
-                   if name in spec.variables)
+        if spec.variables & {"r", "theta"}:
+            env.update((name, v.astype(complex)) for name, v in zip(("r", "theta"), polar())
+                       if name in spec.variables)
     mu = np.broadcast_to(evaluate(spec.mu_expr, env), z.shape).copy()
     nu = np.broadcast_to(evaluate(spec.nu_expr, env), z.shape).copy()
     if polar is None:
@@ -94,34 +95,42 @@ def eval_coefficients(spec: CoefficientSpec, z: complex, w: complex):
 
 class SupportGeometry(NamedTuple):
     """The samples of a grid with |z| <= radius: flat indices in row-major
-    order, and z, r = |z| and theta = arg z in [0, 2pi) there."""
+    order, and z there."""
 
     index: np.ndarray
     z: np.ndarray
-    r: np.ndarray
-    theta: np.ndarray
 
 
 @lru_cache(maxsize=16)
 def _support_geometry(L: float, n: int, radius: float) -> SupportGeometry:
-    """SupportGeometry of the (L, n) grid, read-only; r and theta as floats,
-    the bits standard_env computes for the same samples."""
+    """SupportGeometry of the (L, n) grid, read-only."""
     Z = coordinates(L, n).ravel()
-    r = np.abs(Z)
-    index = np.flatnonzero(r <= radius)
-    z = Z[index]
-    geometry = SupportGeometry(index, z, r[index], np.mod(np.angle(z), 2.0 * np.pi))
+    index = np.flatnonzero(np.abs(Z) <= radius)
+    geometry = SupportGeometry(index, Z[index])
     for array in geometry:
         array.flags.writeable = False
     return geometry
 
 
+@lru_cache(maxsize=16)
+def _support_polar(L: float, n: int, radius: float):
+    """r = |z| and theta = arg z in [0, 2pi) at the samples of
+    _support_geometry, read-only floats: the bits standard_env computes.
+    Cached apart, so a spec that reads neither builds neither."""
+    z = _support_geometry(L, n, radius).z
+    polar = np.abs(z), np.mod(np.angle(z), 2.0 * np.pi)
+    for array in polar:
+        array.flags.writeable = False
+    return polar
+
+
 def _support_samples(spec: CoefficientSpec, L: float, w: np.ndarray):
     """The support geometry of the grid w (half-side L) and (mu, nu) at
     (z, w(z)) on those samples, in its order; the coefficients vanish elsewhere."""
-    support = _support_geometry(L, w.shape[0], spec.support_radius)
+    n = w.shape[0]
+    support = _support_geometry(L, n, spec.support_radius)
     mu, nu = coefficient_fields(spec, support.z, w.ravel()[support.index],
-                                polar=(support.r, support.theta))
+                                polar=lambda: _support_polar(L, n, spec.support_radius))
     return support, mu, nu
 
 

@@ -82,36 +82,6 @@ def disk_integral(q, z0: complex, radius: float) -> float:
     return float(val)
 
 
-def _partial_integrals(integrand, upper: float, eps_ladder) -> list:
-    """int_eps^upper of integrand for each eps of a decreasing ladder, one ring per quad."""
-    from scipy.integrate import quad
-
-    partials = []
-    acc = 0.0
-    for eps in eps_ladder:
-        piece, _ = quad(integrand, eps, upper, limit=200)
-        acc += piece
-        partials.append(acc)
-        upper = eps
-    return partials
-
-
-def _growth_verdict(increments):
-    """(verdict, ratios, median of the last four ratios) of partial-integral increments.
-
-    All-zero increments leave no ratio and count as CONVERGENT.
-    """
-    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
-    med = float(np.median(ratios[-4:])) if ratios else 0.0
-    if med <= _RATIO_CONVERGENT:
-        verdict = CONVERGENT
-    elif med >= _RATIO_DIVERGENT and increments[-1] > 0:
-        verdict = DIVERGENT
-    else:
-        verdict = INCONCLUSIVE
-    return verdict, ratios, med
-
-
 @dataclass
 class DivergenceReport:
     eps: list
@@ -123,13 +93,25 @@ class DivergenceReport:
     median_ratio: float = None
 
 
-def divergence_integral(q, z0: complex, delta: float) -> DivergenceReport:
-    """Classify int_0 dr/(r qbar(r)) by partial integrals I(eps) = int_eps^delta."""
-    eps_ladder = [e for e in EPS_LADDER if e < delta]
-    if len(eps_ladder) < 5:
+def eps_ladder(delta: float) -> list:
+    """The eps values of EPS_LADDER below delta; a ValueError unless there are 5."""
+    eps = [e for e in EPS_LADDER if e < delta]
+    if len(eps) < 5:
         raise ValueError(f"divergence integral: delta = {delta:g}, but delta must exceed "
                          f"{_DELTA_MIN:g} to leave 5 eps values below it")
+    return eps
 
+
+def divergence_integral(q, z0: complex, delta: float) -> DivergenceReport:
+    """Classify int_0 dr/(r qbar(r)) by partial integrals I(eps) = int_eps^delta.
+
+    Each ring [eps, previous eps] is one quad call. The verdict is read
+    from the median of the last four ratios of consecutive increments;
+    all-zero increments leave no ratio and count as CONVERGENT.
+    """
+    from scipy.integrate import quad
+
+    eps = eps_ladder(delta)
     psi = default_psi(q, z0)
 
     def integrand(r):
@@ -138,16 +120,28 @@ def divergence_integral(q, z0: complex, delta: float) -> DivergenceReport:
             raise QuadratureFailure(f"non-finite integrand at r = {r:.6g}")
         return val
 
-    partials = _partial_integrals(integrand, delta, eps_ladder)
+    partials = []
+    acc, upper = 0.0, delta
+    for e in eps:
+        piece, _ = quad(integrand, e, upper, limit=200)
+        acc += piece
+        partials.append(acc)
+        upper = e
     increments = list(np.diff(partials))
-    verdict, ratios, med = _growth_verdict(increments)
+    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
+    med = float(np.median(ratios[-4:])) if ratios else 0.0
     limit = None
-    if verdict == CONVERGENT:
+    if med <= _RATIO_CONVERGENT:
+        verdict = CONVERGENT
         # geometric tail extrapolation from the last increment
         r = min(med, 0.97)
         limit = partials[-1] + increments[-1] * r / (1.0 - r)
+    elif med >= _RATIO_DIVERGENT and increments[-1] > 0:
+        verdict = DIVERGENT
+    else:
+        verdict = INCONCLUSIVE
     return DivergenceReport(
-        eps=eps_ladder,
+        eps=eps,
         partials=partials,
         increments=increments,
         ratios=ratios,

@@ -13,11 +13,16 @@ omega = 0 by default, or a given iterate (the quasilinear outer loop
 passes the previous solve's raw omega). As S 0 = 0, the first step from
 omega = 0 is mu + nu and takes no transform. The first transform checks
 its input; later steps run on arrays that vanish outside the
-coefficients' support box, with S formed only on that box. The
+coefficients' support box, with S formed only on that box; a solve's
+unchecked steps reuse one spectrum for their transforms and two iterate
+grids, the checked step's and one more, which they write in turn, on
+the box only. Where nu is zero on the box a step forms
+mu (1 + S omega) alone. The
 assembled solution carries its derivative grids from the ansatz
 relations f_z = 1 + S omega, f_zbar = omega (spectrally exact); a solve
 looser than inner_tol, which only steers the quasilinear outer loop,
-forms no f_z. The map is normalised to f(0) = 0,
+forms no f_z, and a problem with an empty box, whose fixed point is
+zero, takes no transform of it. The map is normalised to f(0) = 0,
 |f(1)| = 1: translation and positive real scaling preserve the equation
 exactly, while the rotation that would pin arg f(1) = 0 would conjugate
 nu, so only arg f(1) is reported.
@@ -40,7 +45,13 @@ import numpy as np
 from . import grid
 from .errors import DegenerateNormalization, MaxIterations, NotContractive
 from .grid import GridField, l2_norm
-from .transforms import _check_support, _slug_carried, beurling_transform, cauchy_transform
+from .transforms import (
+    _check_support,
+    _slug_carried,
+    _spectrum,
+    beurling_transform,
+    cauchy_transform,
+)
 
 
 @dataclass(frozen=True)
@@ -49,13 +60,15 @@ class LinearProblem:
 
     `box` is the pair of slices (rows, cols), from the support check,
     outside which mu and nu are exactly zero; it is empty when every
-    sample is zero.
+    sample is zero. `mu_only` says nu is zero on the box too, so that a
+    Picard step forms mu (1 + S omega) alone.
     """
 
     mu: GridField
     nu: GridField
     k_bound: float
     box: tuple = field(init=False, repr=False, compare=False)
+    mu_only: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.mu.same_geometry(self.nu):
@@ -68,6 +81,7 @@ class LinearProblem:
                 f"> k_bound = {self.k_bound:.6g}"
             )
         object.__setattr__(self, "box", _check_support(s, self.mu.L))
+        object.__setattr__(self, "mu_only", not self.nu.data[self.box].any())
 
 
 @dataclass
@@ -113,23 +127,32 @@ class Solution:
     normalization: Normalization
 
 
-def picard_step(omega: GridField | np.ndarray, prob: LinearProblem) -> np.ndarray:
+def picard_step(omega: GridField | np.ndarray, prob: LinearProblem, spectrum=None,
+                out=None) -> np.ndarray:
     """One application of omega -> mu (1 + S omega) + nu conj(1 + S omega).
 
-    Checked for a GridField omega; an array (a step's output) is not, and S is formed on the box
-    only. The products fill the box in place; the rest is exactly 0, as mu = nu = 0 there.
+    Checked for a GridField omega; an array (a step's output) is not, and S is
+    formed on the box only, in `spectrum` (a `transforms._spectrum` reused from
+    an earlier step) when given. The products fill the box of `out`, a grid
+    that is zero off the box (a new one when None); the rest stays exactly 0,
+    as mu = nu = 0 there. With prob.mu_only the step is mu (1 + S omega) alone.
     """
-    s = (beurling_transform(omega).data[prob.box] if isinstance(omega, GridField)
-         else _slug_carried(omega, prob.mu.L, 1, prob.box[0], prob.box))
-    out = np.zeros(prob.mu.data.shape, dtype=complex)
-    box = out[prob.box]
-    np.add(s, 1.0, out=box)  # f_z = 1 + S omega
-    conj_fz = np.conj(box)
+    box = prob.box
+    s = (beurling_transform(omega).data[box] if isinstance(omega, GridField)
+         else _slug_carried(omega, prob.mu.L, 1, box[0], box, spectrum))
+    if out is None:
+        out = np.zeros(prob.mu.data.shape, dtype=complex)
+    fz = out[box]
+    np.add(s, 1.0, out=fz)  # f_z = 1 + S omega
+    if prob.mu_only:
+        np.multiply(prob.mu.data[box], fz, out=fz)
+        return out
+    conj_fz = np.conj(fz)
     # mu and nu stay the left factors: numpy's fused complex product does
     # not commute bit for bit
-    np.multiply(prob.nu.data[prob.box], conj_fz, out=conj_fz)
-    np.multiply(prob.mu.data[prob.box], box, out=box)
-    box += conj_fz
+    np.multiply(prob.nu.data[box], conj_fz, out=conj_fz)
+    np.multiply(prob.mu.data[box], fz, out=fz)
+    fz += conj_fz
     return out
 
 
@@ -155,15 +178,20 @@ def _iterates(prob: LinearProblem, start: GridField | None):
     """The Picard iterates omega_1, omega_2, ... from start, or from omega = 0 when None.
 
     From omega = 0, omega_1 is mu + nu, as S 0 = 0, and the step after it is
-    the checked one; later steps are unchecked."""
+    the checked one. Later steps are unchecked: they reuse one spectrum and
+    write the checked step's grid and one more in turn, so an iterate's grid
+    is written again two steps later. Both are made only after the checked
+    step, whose public transform holds two grids of its own."""
     if start is None:
         omega = np.zeros(prob.mu.data.shape, dtype=complex)
         np.add(prob.mu.data[prob.box], prob.nu.data[prob.box], out=omega[prob.box])
         yield omega
         start = GridField(prob.mu.L, omega)
-    omega = start
+    omega = picard_step(start, prob)
+    yield omega
+    spectrum, spare = _spectrum(prob.mu.n), np.zeros_like(omega)
     while True:
-        omega = picard_step(omega, prob)
+        omega, spare = picard_step(omega, prob, spectrum, spare), omega
         yield omega
 
 
@@ -199,11 +227,16 @@ def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
             f"no convergence in {cfg.max_inner} Picard steps; last update {update:.3g}"
         )
     omega = GridField(L, omega)  # the fixed point, checked once more
-    f, norm = normalize_solution(prob.mu.z + cauchy_transform(omega).data, L)
+    # with an empty box every step returns zero, so omega is zero, and so
+    # are its T and S: both transforms give +0 on every sample, and z,
+    # which holds no -0, is z + 0
+    zero = box[0].start == box[0].stop
+    f, norm = normalize_solution(prob.mu.z if zero else prob.mu.z + cauchy_transform(omega).data, L)
     fzbar = norm.scale * omega.data
     if tol > cfg.inner_tol:  # only steers the outer loop, which reads f and the raw omega
         return Solution(GridField(L, f), None, GridField(L, fzbar), trace, norm)
-    fz = norm.scale * (1.0 + beurling_transform(omega).data)
+    fz = (np.full((n, n), norm.scale, dtype=complex) if zero
+          else norm.scale * (1.0 + beurling_transform(omega).data))
     # formed and summed on the box, the only place mu, nu and fzbar are nonzero
     fz_box = fz[box]
     res = fzbar[box] - prob.mu.data[box] * fz_box - prob.nu.data[box] * np.conj(fz_box)

@@ -28,14 +28,16 @@ oracles dbar T = id and T chi_D = conj(z) inside the unit disk, 1/z
 outside (verified against direct quadrature of the Cauchy integral).
 
 The FFTs are numpy.fft's, so a solve or a verify loads no scipy. Each
-transform call makes one spectrum grid and runs its FFT passes in place
-on it (`out=`, numpy >= 2.0); without `out=` each pass allocates a
-fresh grid. The spectrum is the n x n view of an n x (n + 4) buffer
-(`_spectrum`): a row of n complex samples spans a power of two of
-bytes, so the samples of one column would fall into a few cache sets,
-and the column passes (axis 0) ran 1.5-2.2x slower than the row
-passes; four samples of padding per row take the stride off that power
-of two (one column pass at n = 512 on one Xeon thread: 2.7 -> 1.5 ms).
+public transform call makes one spectrum grid and runs its FFT passes in
+place on it (`out=`, numpy >= 2.0); without `out=` each pass allocates a
+fresh grid. The Picard loop's unchecked calls all run in one spectrum per
+solve, whose rows off the band are zeroed before each forward pass. The
+spectrum is the n x n view of an n x (n + 4) buffer (`_spectrum`): a
+row of n complex samples spans a power of two of bytes, so the samples
+of one column would fall into a few cache sets, and the column passes
+(axis 0) ran 1.5-2.2x slower than the row passes; four samples of
+padding per row take the stride off that power of two (one column pass
+at n = 512 on one Xeon thread: 2.7 -> 1.5 ms).
 Each pass transforms every column or row alone, so the padding changes
 no bit of a result. A public call runs its last pass (inverse, along
 rows) out of place, into the contiguous grid it returns. Every public
@@ -45,9 +47,12 @@ nonzero sample; the remaining rows are zero and transform to zero. The
 Picard loop's unchecked calls run the last pass in place and only over
 the rows of the box it reads. A solve takes S of its fixed point (for
 f_z) only when it runs to inner_tol; a looser solve, which only steers
-the quasilinear outer loop, takes T alone. The T/S multipliers and the
-d/dbar multipliers of `derivatives` are cached apart per (L, n), so a
-solve builds only the former.
+the quasilinear outer loop, takes T alone, and a solve whose fixed point
+is zero (its coefficients are all truncated) takes neither. The T/S
+multipliers and the d/dbar multipliers of `derivatives` are cached apart
+per (L, n), so a solve builds only the former; the cached grids are built
+in place where the bits allow, so a build holds few grids beyond its
+results.
 """
 
 from __future__ import annotations
@@ -66,8 +71,10 @@ SUPPORT_EPS = 1e-13
 def _frequencies(L: float, n: int) -> np.ndarray:
     """zeta = xi1 + i xi2 on the FFT grid of [-L, L]^2 with n samples per axis."""
     xi = 2.0 * np.pi * fft.fftfreq(n, d=2.0 * L / n)
-    XI1, XI2 = np.meshgrid(xi, xi)
-    return XI1 + 1j * XI2
+    zeta = np.empty((n, n), dtype=complex)
+    zeta.real = xi  # xi1 along the rows
+    zeta.imag = xi[:, None]
+    return zeta
 
 
 def _frozen(*grids):
@@ -78,13 +85,14 @@ def _frozen(*grids):
 
 @lru_cache(maxsize=16)
 def _kernels(L: float, n: int):
-    """The T and S multipliers, zero at zeta = 0."""
+    """The T and S multipliers, zero at zeta = 0 (the sample [0, 0]); built
+    with no grid beyond zeta and the two results."""
     zeta = _frequencies(L, n)
-    nz = zeta != 0
-    mult_T = np.zeros_like(zeta)
-    mult_T[nz] = -2j / zeta[nz]
-    mult_S = np.zeros_like(zeta)
-    mult_S[nz] = np.conj(zeta[nz]) / zeta[nz]
+    zeta[0, 0] = 1.0
+    mult_T = np.divide(-2j, zeta)
+    mult_S = np.conj(zeta)
+    mult_S /= zeta
+    mult_T[0, 0] = mult_S[0, 0] = 0.0
     return _frozen(mult_T, mult_S)
 
 
@@ -101,24 +109,39 @@ def _slug(L: float, n: int):
 
     R = X g - P_X(g) for X = T, S: the closed-form transform of the
     Gaussian carrier g minus what the periodic multiplier makes of it.
+    Each step runs in place where it can, so the build holds few grids
+    at once; the formulas are evaluated at z = 0 with z replaced by 1,
+    and that sample of X g is then set to 0.
     """
     Z = coordinates(L, n)
     sigma = L / 4.0
-    r2 = np.abs(Z) ** 2
-    g = np.exp(-r2 / sigma**2)
-    one_minus_e = -np.expm1(-r2 / sigma**2)
-    Zs = np.where(Z == 0, 1.0, Z)
-    Tg = np.where(Z == 0, 0.0, sigma**2 * one_minus_e / Zs)
-    Sg = np.where(
-        Z == 0,
-        0.0,
-        (np.conj(Z) * (1.0 - one_minus_e) * Zs - sigma**2 * one_minus_e) / Zs**2,
-    )
+    centre = Z == 0
+    Zs = np.where(centre, 1.0, Z)
+    t = np.abs(Z) ** 2
+    t /= sigma**2
+    np.negative(t, out=t)  # -|z|^2 / sigma^2
+    g = np.exp(t)
+    one_minus_e = np.expm1(t, out=t)
+    np.negative(one_minus_e, out=one_minus_e)
+    weighted = sigma**2 * one_minus_e
+    Tg = np.divide(weighted, Zs)
+    Sg = np.conj(Z)
+    np.multiply(Sg, 1.0 - one_minus_e, out=Sg)
+    np.multiply(Sg, Zs, out=Sg)
+    np.subtract(Sg, weighted, out=Sg)
+    del one_minus_e, t, weighted
+    np.divide(Sg, Zs**2, out=Sg)
+    del Zs
+    Tg[centre] = Sg[centre] = 0.0
     g_hat = fft.fft2(g)
-    mult_T, mult_S = _kernels(L, n)
-    R_T = Tg - fft.ifft2(mult_T * g_hat)
-    R_S = Sg - fft.ifft2(mult_S * g_hat)
-    return (*_frozen(R_T, R_S), 1.0 / (np.pi * sigma**2))
+    del g
+    projected = np.empty_like(g_hat)
+    for mult, Xg in zip(_kernels(L, n), (Tg, Sg)):
+        np.multiply(mult, g_hat, out=projected)
+        fft.ifft(projected, axis=1, out=projected)
+        fft.ifft(projected, axis=0, out=projected)
+        Xg -= projected
+    return (*_frozen(Tg, Sg), 1.0 / (np.pi * sigma**2))
 
 
 def _check_support(data: np.ndarray, L: float):
@@ -156,13 +179,18 @@ def _spectrum(n: int) -> np.ndarray:
     return np.zeros((n, n + 4), dtype=complex)[:, :n]
 
 
-def _slug_carried(data: np.ndarray, L: float, which: int, band: slice, box=None):
+def _slug_carried(data: np.ndarray, L: float, which: int, band: slice, box=None, spec=None):
     """T (which=0) or S (which=1) of data on `box`; unchecked: data must vanish off `band` rows.
 
     With no box, the whole grid as a new contiguous array; with one, a view
-    of the call's spectrum."""
+    of the call's spectrum: a new one, or `spec`, a `_spectrum` reused from
+    an earlier call, whose rows off the band are zeroed here."""
     n = data.shape[0]
-    spec = _spectrum(n)
+    if spec is None:
+        spec = _spectrum(n)
+    else:
+        spec[:band.start] = 0.0
+        spec[band.stop:] = 0.0
     fft.fft(data[band], axis=1, out=spec[band])
     fft.fft(spec, axis=0, out=spec)
     R_T, R_S, per_mass = _slug(L, n)

@@ -650,9 +650,12 @@ def test_bad_cli_value_names_its_input(argv, message, tmp_path, capsys):
     capsys.readouterr()
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     # a usage error prints the usage lines first; the last line is the error
-    last = capsys.readouterr().err.splitlines()[-1]
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
     assert last.startswith("error:") and last.endswith(message)
-    assert not (tmp_path / "out" / "conditions.json").exists()
+    # the value is refused before a line is printed or the --out directory made
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def _drop_normalization(meta):

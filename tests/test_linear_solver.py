@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from beltrami_lab import linear_solver
+from beltrami_lab import linear_solver, transforms
 from beltrami_lab.coefficients import rung_bound, truncate
 from beltrami_lab.errors import MaxIterations, NotContractive, SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, l2_norm, zeros
@@ -148,17 +148,75 @@ def test_warm_solve_of_a_fully_truncated_problem():
     assert np.all(sol.fzbar.data == 0)
 
 
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_fully_truncated_problem_makes_no_transform(monkeypatch, start):
+    # every iterate of an empty-box problem after its start is zero, so the
+    # solve takes no T or S of its fixed point: a cold solve makes no
+    # transform at all, a warm one only those of its Picard steps; f = z and
+    # fz = scale are the bits the transforms would give
+    prob, cfg = fully_truncated_problem(), SolverConfig(grid_n=64, box=L)
+    omega0 = None if start == "cold" else 0.5 * disk_indicator(64)
+    carried = []
+    for module in (transforms, linear_solver):
+        def counted(*args, transform=module._slug_carried):
+            carried.append(None)
+            return transform(*args)
+
+        monkeypatch.setattr(module, "_slug_carried", counted)
+    sol = solve_linear(prob, cfg, omega0=omega0)
+    assert len(carried) == (0 if omega0 is None else sol.trace.steps)
+    monkeypatch.undo()
+    zero = zeros(L, 64)
+    f, norm = normalize_solution(prob.mu.z + cauchy_transform(zero).data, L)
+    assert norm == sol.normalization
+    fz = norm.scale * (1.0 + beurling_transform(zero).data)
+    for got, ref in ((sol.f, f), (sol.fz, fz), (sol.fzbar, norm.scale * zero.data)):
+        assert got.data.tobytes() == ref.tobytes()
+
+
+def test_mu_only_step_equals_the_nu_path_step():
+    # nu = 0 on the box: the step forms mu (1 + S omega) alone, and its values
+    # are those of the nu path (the signs of zeros may differ where mu = 0)
+    rng = np.random.default_rng(5)
+    for name, inside, prob in off_centre_problems():
+        prob = LinearProblem(mu=prob.mu, nu=zeros(L, 64), k_bound=prob.k_bound)
+        forced = replace(prob)
+        object.__setattr__(forced, "mu_only", False)
+        assert prob.mu_only, name
+        omega = (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * inside
+        for given in (GridField(L, omega), omega):
+            assert np.array_equal(picard_step(given, prob), picard_step(given, forced)), name
+
+
+def test_nonzero_nu_takes_the_nu_path():
+    # a single nonzero nu sample in the box is enough for the nu path
+    rng = np.random.default_rng(6)
+    for name, inside, prob in off_centre_problems():
+        nu = np.zeros((64, 64), dtype=complex)
+        jj, kk = np.nonzero(inside)
+        nu[jj[len(jj) // 2], kk[len(kk) // 2]] = 0.1j
+        prob = LinearProblem(mu=prob.mu, nu=GridField(L, nu), k_bound=prob.k_bound)
+        assert not prob.mu_only, name
+        omega = GridField(L, (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) * inside)
+        dfz = 1.0 + beurling_transform(omega).data
+        step = picard_step(omega, prob)
+        assert np.array_equal(step, prob.mu.data * dfz + prob.nu.data * np.conj(dfz)), name
+        assert not np.array_equal(step, prob.mu.data * dfz), name
+
+
 def spy_steps(monkeypatch, checked=False):
     """Count picard_step calls; with checked, hand every array step to it as
-    a GridField, so each step goes through the checked public transform."""
+    a GridField of a copy (a GridField freezes its array, and the solve
+    writes each iterate grid again), so each step goes through the checked
+    public transform."""
     calls = []
     step = linear_solver.picard_step
 
-    def spied(omega, prob):
+    def spied(omega, prob, *buffers):
         calls.append(type(omega))
         if checked and not isinstance(omega, GridField):
-            omega = GridField(prob.mu.L, omega)
-        return step(omega, prob)
+            omega = GridField(prob.mu.L, omega.copy())
+        return step(omega, prob, *buffers)
 
     monkeypatch.setattr(linear_solver, "picard_step", spied)
     return calls

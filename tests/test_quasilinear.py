@@ -404,9 +404,9 @@ def test_ladder_picard_counts_match_picard_steps(monkeypatch):
     per_bound = {}
     step = linear_solver.picard_step
 
-    def counted(omega, prob):
+    def counted(omega, prob, *buffers):
         per_bound[prob.k_bound] = per_bound.get(prob.k_bound, 0) + 1
-        return step(omega, prob)
+        return step(omega, prob, *buffers)
 
     monkeypatch.setattr(linear_solver, "picard_step", counted)
     calls = spy_solves(monkeypatch)

@@ -143,7 +143,11 @@ def test_residual_equals_full_grid_sampling(entry, tmp_path):
     # of the residual on the support or of the heatmap over the whole grid
     spec = builtin_catalog(entry, CATALOG_PARAMS.get(entry, []))
     sol = wavy_solution()
+    coefficients._support_polar.cache_clear()
     res, norms = residual(sol, spec, ppm=tmp_path / "residual.ppm")
+    # r and theta of the support samples are built only for a spec that reads them
+    reads_polar = bool(spec.variables & {"r", "theta"})
+    assert coefficients._support_polar.cache_info().currsize == reads_polar
     ref, good, ref_norms = full_grid_residual(sol, spec)
     assert norms == ref_norms
     assert res.tobytes() == ref[np.abs(sol.f.z) <= spec.support_radius].tobytes()
