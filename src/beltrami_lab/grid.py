@@ -41,11 +41,16 @@ def l2_norm(data: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
-def _validate(L, n, data):
+def _validate_geometry(L, n):
+    """Reject a grid size that is not a power of two >= 16, or a box half-side <= 0."""
     if not (n >= 16 and n & (n - 1) == 0):
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
     if L <= 0:
         raise ValueError(f"box half-side must be positive, got {L}")
+
+
+def _validate(L, n, data):
+    _validate_geometry(L, n)
     if data.shape != (n, n):
         raise ValueError(f"data shape {data.shape} does not match n={n}")
     # a complex sample is finite exactly when both of its parts are; the

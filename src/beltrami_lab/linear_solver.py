@@ -1,31 +1,40 @@
 """Fixed-point solver for the linear two-characteristic equation.
 
 Solves f_zbar = mu f_z + nu conj(f_z) for measurable, compactly
-supported, uniformly elliptic coefficient grids via the principal-
-solution ansatz f = id + T omega with omega = f_zbar. Substituting the
-ansatz turns the equation into
+supported, uniformly elliptic coefficients via the principal-solution
+ansatz f = id + T omega with omega = f_zbar. Substituting the ansatz
+turns the equation into
 
     omega = mu (1 + S omega) + nu conj(1 + S omega),
 
 a contraction on L2 with factor k = sup(|mu| + |nu|) < 1 because S is an
 isometry, so Picard iteration converges geometrically from any start:
 omega = 0 by default, or a given iterate (the quasilinear outer loop
-passes the previous solve's raw omega). As S 0 = 0, the first step from
-omega = 0 is mu + nu and takes no transform. The first transform checks
-its input; later steps run on arrays that vanish outside the
-coefficients' support box, with S formed only on that box; a solve's
-unchecked steps reuse one spectrum for their transforms and two iterate
-grids, the checked step's and one more, which they write in turn, on
-the box only. Where nu is zero on the box a step forms
-mu (1 + S omega) alone. The
-assembled solution carries its derivative grids from the ansatz
-relations f_z = 1 + S omega, f_zbar = omega (spectrally exact); a solve
-looser than inner_tol, which only steers the quasilinear outer loop,
-forms no f_z, and a problem with an empty box, whose fixed point is
-zero, takes no transform of it. The map is normalised to f(0) = 0,
-|f(1)| = 1: translation and positive real scaling preserve the equation
-exactly, while the rotation that would pin arg f(1) = 0 would conjugate
-nu, so only arg f(1) is reported.
+passes the previous solve's raw omega).
+
+A problem is built from coefficient samples: their flat grid indices and
+mu and nu there, zero everywhere else. Its bound, its support box and
+its support test are computed on the samples, and it keeps mu and nu on
+the box as contiguous arrays. Every iterate after the start vanishes
+off the box, so the Picard loop carries box-shaped iterates. As S 0 = 0,
+the first step from omega = 0 is mu + nu and takes no transform. The
+first transform checks its input, a grid: a warm start, or mu + nu
+embedded in one. Later steps form S unchecked on the box, in one
+spectrum per solve into which each iterate is copied, and write two
+iterate arrays in turn; c R_S and conj(1 + S omega) go through reused
+box buffers. Where nu is zero a step forms mu (1 + S omega) alone. Only
+a warm start's first update, which reads the whole grid, and the fixed
+point are embedded in grids.
+
+The assembled solution carries its derivative grids from the ansatz
+relations f_z = 1 + S omega, f_zbar = omega (spectrally exact), each
+scaled in place, fzbar on the box only; a solve looser than inner_tol,
+which only steers the quasilinear outer loop, forms no f_z, and a
+problem with an empty box, whose fixed point is zero, takes no transform
+of it. The map is normalised to f(0) = 0, |f(1)| = 1: translation and
+positive real scaling preserve the equation exactly, while the rotation
+that would pin arg f(1) = 0 would conjugate nu, so only arg f(1) is
+reported.
 
 A Solution holds only what the solve computed: the spec owns the
 coefficient's label and support radius, and the ladder report the rung.
@@ -39,16 +48,17 @@ import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import grid
 from .errors import DegenerateNormalization, MaxIterations, NotContractive
-from .grid import GridField, l2_norm
+from .grid import GridField, _validate_geometry, coordinates, l2_norm
 from .transforms import (
+    _BoxTransform,
     _check_support,
-    _slug_carried,
-    _spectrum,
+    _sample_support,
     beurling_transform,
     cauchy_transform,
 )
@@ -56,32 +66,69 @@ from .transforms import (
 
 @dataclass(frozen=True)
 class LinearProblem:
-    """Coefficient grids with a certified ellipticity bound |mu|+|nu| <= k_bound.
+    """Coefficient samples with a certified ellipticity bound |mu|+|nu| <= k_bound.
 
-    `box` is the pair of slices (rows, cols), from the support check,
-    outside which mu and nu are exactly zero; it is empty when every
-    sample is zero. `mu_only` says nu is zero on the box too, so that a
-    Picard step forms mu (1 + S omega) alone.
+    mu and nu are the samples at `index`, flat row-major indices of the
+    (L, n) grid in increasing order; both coefficients are zero at every
+    other sample. `box` is the pair of slices (rows, cols) that the
+    support check of the grid of |mu| + |nu| gives, outside which mu and
+    nu are exactly zero; it is empty when every sample is zero. mu_box and
+    nu_box are the coefficients on the box, contiguous and read-only.
+    `mu_only` says nu is zero everywhere, so that a Picard step forms
+    mu (1 + S omega) alone.
     """
 
-    mu: GridField
-    nu: GridField
+    L: float
+    n: int
+    index: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
     k_bound: float
     box: tuple = field(init=False, repr=False, compare=False)
+    mu_box: np.ndarray = field(init=False, repr=False, compare=False)
+    nu_box: np.ndarray = field(init=False, repr=False, compare=False)
     mu_only: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.mu.same_geometry(self.nu):
-            raise ValueError("mu and nu must share box and resolution")
-        s = np.abs(self.mu.data) + np.abs(self.nu.data)
-        smax = float(s.max())
+        L, n = self.L, int(self.n)
+        _validate_geometry(L, n)
+        index = np.asarray(self.index)
+        mu, nu = (np.asarray(c, dtype=complex) for c in (self.mu, self.nu))
+        if index.ndim != 1 or index.dtype.kind not in "iu" or not (
+                mu.shape == nu.shape == index.shape):
+            raise ValueError("index, mu and nu must be one-dimensional, of one length, "
+                             "and index must hold integers")
+        if index.size and (index[0] < 0 or index[-1] >= n * n or np.any(index[1:] <= index[:-1])):
+            raise ValueError(f"sample indices must increase within the {n} x {n} grid")
+        s = np.abs(mu) + np.abs(nu)
+        smax = float(s.max(initial=0.0))
+        if not math.isfinite(smax) and not (np.isfinite(mu).all() and np.isfinite(nu).all()):
+            raise ValueError("coefficient samples must all be finite")
         if smax > self.k_bound + 1e-12:
             raise ValueError(
                 f"coefficients exceed the declared bound: max |mu|+|nu| = {smax:.6g} "
                 f"> k_bound = {self.k_bound:.6g}"
             )
-        object.__setattr__(self, "box", _check_support(s, self.mu.L))
-        object.__setattr__(self, "mu_only", not self.nu.data[self.box].any())
+        rows, cols = box = _sample_support(index, s, L, n)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        # index increases, so the samples on the box's rows are one run of it
+        lo, hi = np.searchsorted(index, (rows.start * n, rows.stop * n))
+        r, c = index[lo:hi] >> (n.bit_length() - 1), index[lo:hi] & (n - 1)
+        inside = (c >= cols.start) & (c < cols.stop)
+        at = (r[inside] - rows.start) * shape[1] + (c[inside] - cols.start)
+        for name, samples in (("n", n), ("index", index), ("mu", mu), ("nu", nu)):
+            object.__setattr__(self, name, samples)
+        for name, samples in (("mu_box", mu), ("nu_box", nu)):
+            on_box = np.zeros(shape, dtype=complex)
+            on_box.ravel()[at] = samples[lo:hi][inside]
+            on_box.flags.writeable = False
+            object.__setattr__(self, name, on_box)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "mu_only", not nu.any())
+
+    @property
+    def h(self) -> float:
+        return 2.0 * self.L / self.n
 
 
 @dataclass
@@ -127,46 +174,76 @@ class Solution:
     normalization: Normalization
 
 
-def picard_step(omega: GridField | np.ndarray, prob: LinearProblem, spectrum=None,
-                out=None) -> np.ndarray:
-    """One application of omega -> mu (1 + S omega) + nu conj(1 + S omega).
+class _Workspace(NamedTuple):
+    """What one solve's unchecked Picard steps share."""
 
-    Checked for a GridField omega; an array (a step's output) is not, and S is
-    formed on the box only, in `spectrum` (a `transforms._spectrum` reused from
-    an earlier step) when given. The products fill the box of `out`, a grid
-    that is zero off the box (a new one when None); the rest stays exactly 0,
-    as mu = nu = 0 there. With prob.mu_only the step is mu (1 + S omega) alone.
+    S: _BoxTransform  # S on the box, with its spectrum and buffers
+    conj: np.ndarray | None  # conj(1 + S omega) on the box; None for a mu-only problem
+
+
+def _workspace(prob: LinearProblem) -> _Workspace:
+    return _Workspace(_BoxTransform(prob.L, prob.n, 1, prob.box),
+                      None if prob.mu_only else np.empty(prob.mu_box.shape, dtype=complex))
+
+
+def _embed(omega: np.ndarray, prob: LinearProblem) -> np.ndarray:
+    """The grid that holds the box-shaped omega on prob.box and +0 elsewhere."""
+    full = np.zeros((prob.n, prob.n), dtype=complex)
+    full[prob.box] = omega
+    return full
+
+
+def picard_step(omega: GridField | np.ndarray, prob: LinearProblem, work=None,
+                out=None) -> np.ndarray:
+    """One application of omega -> mu (1 + S omega) + nu conj(1 + S omega), on the box.
+
+    omega is a GridField, whose public S is taken (a checked step), or a
+    box-shaped array, an earlier step's output, whose S is formed unchecked
+    on the box, in `work` (a `_Workspace` reused from earlier steps) when
+    given. Returns the step on prob.box, in `out` (a box-shaped array) when
+    given; off the box it is exactly 0, as mu = nu = 0 there. An empty box
+    takes no transform: a GridField omega is then only support-checked.
+    With prob.mu_only the step is mu (1 + S omega) alone.
     """
-    box = prob.box
-    s = (beurling_transform(omega).data[box] if isinstance(omega, GridField)
-         else _slug_carried(omega, prob.mu.L, 1, box[0], box, spectrum))
     if out is None:
-        out = np.zeros(prob.mu.data.shape, dtype=complex)
-    fz = out[box]
-    np.add(s, 1.0, out=fz)  # f_z = 1 + S omega
-    if prob.mu_only:
-        np.multiply(prob.mu.data[box], fz, out=fz)
+        out = np.empty(prob.mu_box.shape, dtype=complex)
+    if not out.size:
+        if isinstance(omega, GridField):
+            _check_support(omega.data, omega.L)
         return out
-    conj_fz = np.conj(fz)
+    fz = out  # f_z = 1 + S omega
+    if isinstance(omega, GridField):
+        np.add(beurling_transform(omega).data[prob.box], 1.0, out=fz)
+    else:
+        if work is None:
+            work = _workspace(prob)
+        work.S(omega, fz)
+        fz += 1.0
+    if prob.mu_only:
+        np.multiply(prob.mu_box, fz, out=fz)
+        return out
+    conj_fz = np.conjugate(fz, out=None if work is None else work.conj)
     # mu and nu stay the left factors: numpy's fused complex product does
     # not commute bit for bit
-    np.multiply(prob.nu.data[box], conj_fz, out=conj_fz)
-    np.multiply(prob.mu.data[box], fz, out=fz)
+    np.multiply(prob.nu_box, conj_fz, out=conj_fz)
+    np.multiply(prob.mu_box, fz, out=fz)
     fz += conj_fz
     return out
 
 
 def normalize_solution(f, L):
-    """Pin f(0) = 0 and |f(1)| = 1 by translation and positive real scaling;
-    the derivative grids scale by the returned normalization's scale."""
+    """Pin f(0) = 0 and |f(1)| = 1 by translation and positive real scaling,
+    in place on the writeable grid f; returns f and the normalization, whose
+    scale the derivative grids take."""
     f0 = complex(grid.bilinear(f, L, 0.0 + 0.0j))
-    f_shift = f - f0
-    f1 = complex(grid.bilinear(f_shift, L, 1.0 + 0.0j))
+    f -= f0
+    f1 = complex(grid.bilinear(f, L, 1.0 + 0.0j))
     if abs(f1) < 1e-12:
         raise DegenerateNormalization(f"|f(1) - f(0)| = {abs(f1):.3g} below 1e-12")
     scale = 1.0 / abs(f1)
     norm = Normalization(translation=f0, scale=scale, arg_f1=float(np.angle(f1)))
-    return scale * f_shift, norm
+    np.multiply(scale, f, out=f)
+    return f, norm
 
 
 def raw_omega(sol: Solution) -> np.ndarray:
@@ -175,23 +252,26 @@ def raw_omega(sol: Solution) -> np.ndarray:
 
 
 def _iterates(prob: LinearProblem, start: GridField | None):
-    """The Picard iterates omega_1, omega_2, ... from start, or from omega = 0 when None.
+    """The box-shaped Picard iterates omega_1, omega_2, ... from start, or
+    from omega = 0 when None.
 
-    From omega = 0, omega_1 is mu + nu, as S 0 = 0, and the step after it is
-    the checked one. Later steps are unchecked: they reuse one spectrum and
-    write the checked step's grid and one more in turn, so an iterate's grid
-    is written again two steps later. Both are made only after the checked
-    step, whose public transform holds two grids of its own."""
+    From omega = 0, omega_1 is mu + nu, as S 0 = 0, and the step after it
+    is the checked one, of omega_1 embedded in a grid. Later steps are
+    unchecked: they share one workspace and write the checked step's array
+    and one more in turn, so an iterate is written again two steps later.
+    Both are made only after the checked step, whose public transform
+    holds grids of its own."""
     if start is None:
-        omega = np.zeros(prob.mu.data.shape, dtype=complex)
-        np.add(prob.mu.data[prob.box], prob.nu.data[prob.box], out=omega[prob.box])
+        omega = np.add(prob.mu_box, prob.nu_box)
         yield omega
-        start = GridField(prob.mu.L, omega)
+        start = GridField(prob.L, _embed(omega, prob))
     omega = picard_step(start, prob)
+    del start
     yield omega
-    spectrum, spare = _spectrum(prob.mu.n), np.zeros_like(omega)
+    work = _workspace(prob) if omega.size else None
+    spare = np.empty_like(omega)
     while True:
-        omega, spare = picard_step(omega, prob, spectrum, spare), omega
+        omega, spare = picard_step(omega, prob, work, spare), omega
         yield omega
 
 
@@ -205,53 +285,66 @@ def solve_linear(prob: LinearProblem, cfg, omega0=None, tol=None) -> Solution:
     cfg.residual_tol. A looser solve forms neither its residual nor fz."""
     if prob.k_bound >= 1.0:
         raise NotContractive(f"k_bound = {prob.k_bound:.6g} >= 1")
-    L, n, box = prob.mu.L, prob.mu.n, prob.box
+    L, n, h, box = prob.L, prob.n, prob.h, prob.box
     if L <= 1.0:
         raise ValueError("box must contain the normalization points 0 and 1 strictly")
     tol = cfg.inner_tol if tol is None else tol
-    # later iterates vanish outside the box, so the norms read the box only,
-    # but a warm omega0's first update reads the grid
     start = None if omega0 is None else GridField(L, omega0)
-    prev, part = (np.zeros((n, n), dtype=complex), box) if start is None else (start.data, ...)
+    iterates = _iterates(prob, start)
+    diff = np.empty(prob.mu_box.shape, dtype=complex)
     trace = IterationTrace()
-    for omega in islice(_iterates(prob, start), cfg.max_inner):
-        update = l2_norm(omega[part] - prev[part]) * prob.mu.h
+    for omega in islice(iterates, cfg.max_inner):
+        if start is not None:  # a warm start's first update reads the whole grid
+            change = _embed(omega, prob)
+            change -= start.data
+            start = None
+        elif trace.update_norms:
+            change = np.subtract(omega, prev, out=diff)
+        else:  # omega_1 - 0
+            change = omega
+        update = l2_norm(change) * h
         if not math.isfinite(update):
             raise ValueError("grid samples must all be finite")
         trace.update_norms.append(update)
-        prev, part = omega, box
-        if update < tol * max(1.0, l2_norm(omega[box]) * prob.mu.h):
+        prev = omega
+        if update < tol * max(1.0, l2_norm(omega) * h):
             break
     else:
         raise MaxIterations(
             f"no convergence in {cfg.max_inner} Picard steps; last update {update:.3g}"
         )
-    omega = GridField(L, omega)  # the fixed point, checked once more
+    iterates.close()  # frees the loop's spectrum and buffers before T and S are taken
+    del change, diff, prev
+    # the fixed point, checked once more, through a read-only view: the grid
+    # itself becomes fzbar once T and S are taken
+    fzbar = _embed(omega, prob)
+    fixed = GridField(L, fzbar.view())
     # with an empty box every step returns zero, so omega is zero, and so
     # are its T and S: both transforms give +0 on every sample, and z,
     # which holds no -0, is z + 0
-    zero = box[0].start == box[0].stop
-    f, norm = normalize_solution(prob.mu.z if zero else prob.mu.z + cauchy_transform(omega).data, L)
-    fzbar = norm.scale * omega.data
-    if tol > cfg.inner_tol:  # only steers the outer loop, which reads f and the raw omega
-        return Solution(GridField(L, f), None, GridField(L, fzbar), trace, norm)
-    fz = (np.full((n, n), norm.scale, dtype=complex) if zero
-          else norm.scale * (1.0 + beurling_transform(omega).data))
-    # formed and summed on the box, the only place mu, nu and fzbar are nonzero
-    fz_box = fz[box]
-    res = fzbar[box] - prob.mu.data[box] * fz_box - prob.nu.data[box] * np.conj(fz_box)
-    residual = l2_norm(res) / l2_norm(fz)
-    if residual > cfg.residual_tol:
-        raise MaxIterations(
-            f"converged iteration left residual {residual:.3g} > {cfg.residual_tol:.3g}"
-        )
-    return Solution(
-        f=GridField(L, f),
-        fz=GridField(L, fz),
-        fzbar=GridField(L, fzbar),
-        trace=trace,
-        normalization=norm,
-    )
+    zero = not omega.size
+    z = coordinates(L, n)
+    f, norm = normalize_solution(z.copy() if zero else z + cauchy_transform(fixed).data, L)
+    fz = None
+    if tol <= cfg.inner_tol:  # a looser solve only steers the outer loop: f and the raw omega
+        if zero:
+            fz = np.full((n, n), norm.scale, dtype=complex)
+        else:
+            fz = np.add(1.0, beurling_transform(fixed).data)
+            np.multiply(norm.scale, fz, out=fz)
+    del fixed
+    np.multiply(norm.scale, omega, out=fzbar[box])  # scale * (+0) is +0 off the box
+    if fz is not None:
+        # formed and summed on the box, the only place mu, nu and fzbar are nonzero
+        fz_box = fz[box]
+        res = fzbar[box] - prob.mu_box * fz_box - prob.nu_box * np.conj(fz_box)
+        residual = l2_norm(res) / l2_norm(fz)
+        if residual > cfg.residual_tol:
+            raise MaxIterations(
+                f"converged iteration left residual {residual:.3g} > {cfg.residual_tol:.3g}"
+            )
+        fz = GridField(L, fz)
+    return Solution(GridField(L, f), fz, GridField(L, fzbar), trace, norm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Truncation ladder plus outer Picard iteration for the quasilinear equation.
 
 For each rung n of the ladder the w-dependence is frozen at the current
-iterate, (mu, nu)(z, f(z)) is sampled onto the grid and truncated at n
-(`coefficients.truncate`: by K, or by a majorant Q when one is given,
-hence |mu_n| + |nu_n| <= rung_bound(n) = (n-1)/(n+1)), and the linear
-solver runs; the outer loop repeats until the sup-norm update on the
+iterate, (mu, nu)(z, f(z)) is sampled on the support samples of the
+grid and truncated at n (`coefficients.truncate`: by K, or by a majorant
+Q when one is given, hence |mu_n| + |nu_n| <= rung_bound(n) =
+(n-1)/(n+1)), and the linear solver runs on a problem built from those
+samples, with no coefficient grid; the outer loop repeats until the sup-norm update on the
 largest tracked compact stalls below tolerance. Rungs warm-start from
 the previous limit, and the ladder stops once consecutive rung
 solutions are Cauchy on every tracked compact (the computable surrogate
 for locally uniform convergence of the truncated solutions). A rung
 that follows a rung stopped at "tol" and samples exactly that rung's
 last solved coefficients, as a w-independent coefficient does once the
-rungs exceed its K, keeps the solution and makes no solve.
+rungs exceed its K, keeps the solution and makes no solve; the test
+compares the sample vectors.
 
 The inner solves are inexact (the forcing-term rule of Dembo, Eisenstat
 and Steihaug, SIAM J. Numer. Anal. 1982; eta = 0.1 as in Eisenstat and
@@ -23,7 +25,9 @@ omega and stops at max(inner_tol, min(1e-3, 0.1 x the last outer
 update)). Whatever the rung's stop, a last solve looser than inner_tol
 is continued from where it ended to inner_tol, and the rung ends on
 that solution, so its d, its residual and the next rung's start
-describe one map.
+describe one map. A solve's start is taken from the last solution
+before that solution is dropped, so its grids are gone before the solve
+makes its own.
 """
 
 from __future__ import annotations
@@ -121,17 +125,16 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
 
 
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
-    """Sample the coefficients at (z, f(z)) onto grids, truncated at the rung.
+    """The coefficients at (z, f(z)) on their support samples, truncated at the rung.
 
-    Truncation is by the majorant q when given, else by K. The returned
-    grids satisfy |mu| + |nu| <= rung_bound(rung).
+    Returns (index, mu, nu): the flat row-major indices of the support
+    samples of f's grid, increasing, and mu and nu there, which satisfy
+    |mu| + |nu| <= rung_bound(rung); both coefficients vanish at every
+    other sample. Truncation is by the majorant q when given, else by K.
     """
-    support, mu_in, nu_in = _support_samples(spec, f.L, f.data)
-    truncate(mu_in, nu_in, rung, q, support.z)  # zeros outside the support stay zeros
-    mu = np.zeros(f.n * f.n, dtype=complex)
-    nu = np.zeros(f.n * f.n, dtype=complex)
-    mu[support.index], nu[support.index] = mu_in, nu_in
-    return GridField(f.L, mu.reshape(f.n, f.n)), GridField(f.L, nu.reshape(f.n, f.n))
+    support, mu, nu = _support_samples(spec, f.L, f.data)
+    truncate(mu, nu, rung, q, support.z)
+    return support.index, mu, nu
 
 
 def _check_uniform_ellipticity(spec: CoefficientSpec, L: float, n: int):
@@ -187,23 +190,24 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         picard_steps = []
         solve_tol = cfg.inner_tol  # a rung that repeats at once has nothing to continue
         for _ in range(cfg.max_outer):
-            mu, nu = frozen_coefficient_fields(spec, f_current, rung, q=cfg.q_majorant)
-            if prev_mu is not None and np.array_equal(mu.data, prev_mu.data) and np.array_equal(
-                nu.data, prev_nu.data
-            ):
+            # the samples' indices are the grid's support: one array for every step
+            index, mu, nu = frozen_coefficient_fields(spec, f_current, rung, q=cfg.q_majorant)
+            if prev_mu is not None and np.array_equal(mu, prev_mu) and np.array_equal(nu, prev_nu):
                 stop = "tol"  # frozen coefficients stabilised; the solve would repeat
                 break
             prev_mu, prev_nu = mu, nu
             outer_steps += 1
-            prob = LinearProblem(mu=mu, nu=nu, k_bound=k_bound)
+            prob = LinearProblem(L, n, index, mu, nu, k_bound)
             # the first solve of a rung is cold at first_tol; later ones start
             # from the last raw omega and need only beat the last outer update
             # (the forcing term of an inexact fixed-point iteration)
             warm = outer_steps > 1
             solve_tol = (max(cfg.inner_tol, min(_FORCING_CAP, _FORCING_RATIO * update))
                          if warm else first_tol)
-            solution = solve_linear(prob, cfg, omega0=raw_omega(solution) if warm else None,
-                                    tol=solve_tol)
+            start = raw_omega(solution) if warm else None
+            solution = None  # the last solution's grids go before the solve makes its own
+            solution = solve_linear(prob, cfg, omega0=start, tol=solve_tol)
+            del start
             picard_steps.append(solution.trace.steps)
             update = compact_sup_distance(solution.f, f_current, smallest_margin)
             # truncation-boundary cells can flip between steps and lock the
@@ -232,7 +236,9 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
         if solve_tol > cfg.inner_tol:
             # whatever the stop, the rung's solution meets inner_tol: continue
             # the last solve from where it ended
-            solution = solve_linear(prob, cfg, omega0=raw_omega(solution))
+            start, solution = raw_omega(solution), None
+            solution = solve_linear(prob, cfg, omega0=start)
+            del start
             picard_steps.append(solution.trace.steps)
         f_current = solution.f  # every rung ends on the map it reports
         distances = (

@@ -30,29 +30,39 @@ outside (verified against direct quadrature of the Cauchy integral).
 The FFTs are numpy.fft's, so a solve or a verify loads no scipy. Each
 public transform call makes one spectrum grid and runs its FFT passes in
 place on it (`out=`, numpy >= 2.0); without `out=` each pass allocates a
-fresh grid. The Picard loop's unchecked calls all run in one spectrum per
-solve, whose rows off the band are zeroed before each forward pass. The
-spectrum is the n x n view of an n x (n + 4) buffer (`_spectrum`): a
-row of n complex samples spans a power of two of bytes, so the samples
-of one column would fall into a few cache sets, and the column passes
-(axis 0) ran 1.5-2.2x slower than the row passes; four samples of
-padding per row take the stride off that power of two (one column pass
-at n = 512 on one Xeon thread: 2.7 -> 1.5 ms).
-Each pass transforms every column or row alone, so the padding changes
-no bit of a result. A public call runs its last pass (inverse, along
-rows) out of place, into the contiguous grid it returns. Every public
-transform call checks the support of its input, and the forward FFT's
-first pass (along rows) runs only over the band of rows that hold a
-nonzero sample; the remaining rows are zero and transform to zero. The
-Picard loop's unchecked calls run the last pass in place and only over
-the rows of the box it reads. A solve takes S of its fixed point (for
-f_z) only when it runs to inner_tol; a looser solve, which only steers
-the quasilinear outer loop, takes T alone, and a solve whose fixed point
-is zero (its coefficients are all truncated) takes neither. The T/S
+fresh grid. The spectrum is the n x n view of an n x (n + 4) buffer
+(`_spectrum`): a row of n complex samples spans a power of two of bytes,
+so the samples of one column would fall into a few cache sets, and the
+column passes (axis 0) ran 1.5-2.2x slower than the row passes; four
+samples of padding per row take the stride off that power of two (one
+column pass at n = 512 on one Xeon thread: 2.7 -> 1.5 ms). Each pass
+transforms every column or row alone, so the padding changes no bit of
+a result. The T and S multipliers are laid out the same way, zero in the
+padding, so the spectrum is multiplied over the whole buffers: a
+contiguous pass, which numpy runs without allocating the iteration
+buffers a strided one takes.
+
+Every public transform call checks the support of its input, taking
+|data| only over the band of rows that hold a nonzero sample, and the
+forward FFT's first pass (along rows) runs only over that band; the
+remaining rows are zero and transform to zero. A public call runs its
+last pass (inverse, along rows) out of place, into the contiguous grid
+it returns, and adds c R_X there through the spectrum's buffer, which
+that pass has left free, so it makes no n x n temporary. The Picard
+loop's unchecked calls go through a `_BoxTransform`, made once per
+solve: they read a box-shaped iterate, copy it into their one spectrum
+(writing the zeros around it again), run the row passes in place, the
+inverse one over the box's rows only, and write S on the box into the
+caller's array, with c R_X formed in a reused box buffer; a call
+allocates nothing. A solve takes S of its fixed point (for f_z) only
+when it runs to inner_tol; a looser solve, which only steers the
+quasilinear outer loop, takes T alone, and a solve whose fixed point is
+zero (its coefficients are all truncated) takes neither. The T/S
 multipliers and the d/dbar multipliers of `derivatives` are cached apart
 per (L, n), so a solve builds only the former; the cached grids are built
 in place where the bits allow, so a build holds few grids beyond its
-results.
+results. `_sample_support` gives `_check_support`'s box and verdict for a
+grid given by its nonzero samples, without building the grid.
 """
 
 from __future__ import annotations
@@ -85,14 +95,18 @@ def _frozen(*grids):
 
 @lru_cache(maxsize=16)
 def _kernels(L: float, n: int):
-    """The T and S multipliers, zero at zeta = 0 (the sample [0, 0]); built
-    with no grid beyond zeta and the two results."""
+    """The T and S multipliers, zero at zeta = 0 (the sample [0, 0]), laid
+    out as a `_spectrum` is, with zeros in the padding, so that a spectrum
+    is multiplied over the whole buffers; built with no grid beyond zeta
+    and the two results."""
     zeta = _frequencies(L, n)
     zeta[0, 0] = 1.0
-    mult_T = np.divide(-2j, zeta)
-    mult_S = np.conj(zeta)
+    mult_T, mult_S = _spectrum(n), _spectrum(n)
+    np.divide(-2j, zeta, out=mult_T)
+    np.conjugate(zeta, out=mult_S)
     mult_S /= zeta
     mult_T[0, 0] = mult_S[0, 0] = 0.0
+    _frozen(mult_T.base, mult_S.base)
     return _frozen(mult_T, mult_S)
 
 
@@ -150,60 +164,119 @@ def _check_support(data: np.ndarray, L: float):
     The extent counts rows and columns holding a sample above
     SUPPORT_EPS times the peak. Returns the slices (rows, cols) of the
     box data[rows, cols] outside which every sample is exactly zero;
-    the column maxima are taken over the nonzero rows only, since every
-    other row is zero.
+    |data| is taken over the band of rows that hold a nonzero sample
+    only, since every other row is zero.
     """
-    mag = np.abs(data)
-    rows = mag.max(axis=1)
-    peak = rows.max()
-    if peak == 0.0:
+    band = np.flatnonzero(data.any(axis=1))
+    if not band.size:
         return slice(0, 0), slice(0, 0)
-    band = np.flatnonzero(rows)
     j0, j1 = int(band[0]), int(band[-1]) + 1
-    cols = mag[j0:j1].max(axis=0)
-    thresh = SUPPORT_EPS * peak
+    mag = np.abs(data[j0:j1])
+    rows, cols = mag.max(axis=1), mag.max(axis=0)
+    thresh = SUPPORT_EPS * rows.max()
     jj = np.flatnonzero(rows > thresh)
     kk = np.flatnonzero(cols > thresh)
-    h = 2.0 * L / data.shape[0]
-    extent = h * max(kk[-1] - kk[0], jj[-1] - jj[0])
-    if extent > L + h / 2:
-        raise SupportTooLarge(
-            f"support extent {extent:.3g} exceeds half the box side {L:.3g}; enlarge the box"
-        )
+    _check_extent(jj[-1] - jj[0], kk[-1] - kk[0], L, data.shape[0])
     box_cols = np.flatnonzero(cols)
     return slice(j0, j1), slice(int(box_cols[0]), int(box_cols[-1]) + 1)
 
 
+def _sample_support(index: np.ndarray, s: np.ndarray, L: float, n: int):
+    """`_check_support` of the n x n grid that holds the magnitudes s >= 0 at
+    the flat row-major indices `index` (increasing) and zero elsewhere,
+    computed from the samples alone: the same box, and the same
+    SupportTooLarge. n is a power of two, so a column is index & (n - 1)."""
+    nonzero = s > 0.0
+    if not nonzero.any():
+        return slice(0, 0), slice(0, 0)
+    shift, cols = n.bit_length() - 1, index & (n - 1)
+    big = s > SUPPORT_EPS * s.max()
+    rows = index[big][[0, -1]] >> shift
+    _check_extent(rows[1] - rows[0], np.ptp(cols[big]), L, n)
+    rows = index[nonzero][[0, -1]] >> shift
+    cols = cols[nonzero]
+    return (slice(int(rows[0]), int(rows[1]) + 1),
+            slice(int(cols.min()), int(cols.max()) + 1))
+
+
+def _check_extent(row_span, col_span, L: float, n: int):
+    """Raise SupportTooLarge when the rows or columns above the threshold
+    span more than half the box side (row_span, col_span in samples)."""
+    h = 2.0 * L / n
+    extent = h * max(int(col_span), int(row_span))
+    if extent > L + h / 2:
+        raise SupportTooLarge(
+            f"support extent {extent:.3g} exceeds half the box side {L:.3g}; enlarge the box"
+        )
+
+
+_PAD = 4  # samples of padding at the end of each spectrum row
+
+
 def _spectrum(n: int) -> np.ndarray:
-    """A zeroed n x n complex grid whose rows lie n + 4 samples apart."""
-    return np.zeros((n, n + 4), dtype=complex)[:, :n]
+    """A zeroed n x n complex grid whose rows lie n + _PAD samples apart: the
+    n x n view of an n x (n + _PAD) buffer, its `base`. An elementwise pass
+    over the buffer is contiguous, and numpy runs it without the buffers it
+    allocates for a strided one (the multiplier pass at n = 512: 0.60 ->
+    0.36 ms)."""
+    return np.zeros((n, n + _PAD), dtype=complex)[:, :n]
 
 
-def _slug_carried(data: np.ndarray, L: float, which: int, band: slice, box=None, spec=None):
-    """T (which=0) or S (which=1) of data on `box`; unchecked: data must vanish off `band` rows.
-
-    With no box, the whole grid as a new contiguous array; with one, a view
-    of the call's spectrum: a new one, or `spec`, a `_spectrum` reused from
-    an earlier call, whose rows off the band are zeroed here."""
-    n = data.shape[0]
-    if spec is None:
-        spec = _spectrum(n)
-    else:
-        spec[:band.start] = 0.0
-        spec[band.stop:] = 0.0
-    fft.fft(data[band], axis=1, out=spec[band])
+def _passes(spec: np.ndarray, L: float, which: int):
+    """The passes of T (which=0) or S (which=1) between the row passes, in
+    place on the `_spectrum` spec after its forward row pass: the forward
+    column pass, the multiplier (over the buffers) and the inverse column
+    pass. Returns the slug correction's factor c, from the mass."""
+    n = spec.shape[0]
     fft.fft(spec, axis=0, out=spec)
-    R_T, R_S, per_mass = _slug(L, n)
-    c = spec[0, 0] * (2.0 * L / n) ** 2 * per_mass  # the zero frequency is the mass
-    spec *= _kernels(L, n)[which]
+    c = spec[0, 0] * (2.0 * L / n) ** 2 * _slug(L, n)[2]  # the zero frequency is the mass
+    np.multiply(spec.base, _kernels(L, n)[which].base, out=spec.base)
     fft.ifft(spec, axis=0, out=spec)
-    if box is None:
-        out, box = fft.ifft(spec, axis=1), (slice(None),) * 2
-    else:
-        rows = spec[box[0]]
-        out = fft.ifft(rows, axis=1, out=rows)[:, box[1]]
-    out += c * (R_T, R_S)[which][box]
+    return c
+
+
+def _slug_carried(data: np.ndarray, L: float, which: int, band: slice):
+    """T (which=0) or S (which=1) of data as a new contiguous grid; unchecked:
+    data must vanish off `band` rows. The last pass runs out of place, and
+    c R_X is formed in the spectrum's buffer, which that pass left free."""
+    n = data.shape[0]
+    spec = _spectrum(n)
+    fft.fft(data[band], axis=1, out=spec[band])
+    c = _passes(spec, L, which)
+    out = fft.ifft(spec, axis=1)
+    out += np.multiply(c, _slug(L, n)[which], out=spec.base.reshape(-1)[:n * n].reshape(n, n))
     return out
+
+
+class _BoxTransform:
+    """T (which=0) or S (which=1) on a fixed box of the (L, n) grid, unchecked,
+    for repeated calls: the spectrum, the box of R_X (contiguous) and a
+    buffer for c R_X are made once, so that a call allocates nothing."""
+
+    def __init__(self, L: float, n: int, which: int, box):
+        self.L, self.which, self.box = L, which, box
+        self.spec = _spectrum(n)
+        self.R = np.ascontiguousarray(_slug(L, n)[which][box])
+        self.cR = np.empty_like(self.R)
+
+    def __call__(self, omega: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The transform, on the box and into `out`, of the grid that holds
+        the box-shaped omega on the box and zero elsewhere. omega is copied
+        into the spectrum and the zeros around it are written again, so that
+        the row passes run in place, the inverse one over the box's rows."""
+        (rows, cols), spec = self.box, self.spec
+        spec[:rows.start] = 0.0
+        spec[rows.stop:] = 0.0
+        band = spec[rows]
+        band[:, :cols.start] = 0.0
+        band[:, cols.stop:] = 0.0
+        band[:, cols] = omega
+        fft.fft(band, axis=1, out=band)
+        c = _passes(spec, self.L, self.which)
+        fft.ifft(band, axis=1, out=band)
+        out[...] = band[:, cols]
+        out += np.multiply(c, self.R, out=self.cR)
+        return out
 
 
 def cauchy_transform(omega: GridField) -> GridField:

@@ -416,6 +416,26 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path):
         assert (together / name).read_bytes() == (apart / name).read_bytes(), name
 
 
+def test_solves_in_one_process_give_the_archives_of_fresh_ones(tmp_path):
+    # the caches and buffers a solve leaves behind, of another grid size and
+    # problem in between, change no byte of a later solve's archive
+    def sec4(out):
+        return ["solve", "--spec", "paper-example-sec4", "--grid", "64", "--out", str(out)]
+
+    runs = [sec4(tmp_path / "first"),
+            ["solve", "--spec", "constant-disk:0.5", "--grid", "128", "--out", str(tmp_path / "disk")],
+            sec4(tmp_path / "again")]
+    assert [run(argv) for argv in runs] == [0, 0, 0]
+    assert _run_fresh(f"import json\nfrom beltrami_lab import cli\n"
+                      f"print(json.dumps(cli.main({sec4(tmp_path / 'fresh')!r})))") == 0
+    names = ["f.blgf", "fz.blgf", "fzbar.blgf", "meta.json", "ladder.json"]
+    assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == sorted(names)
+    for archive in ("first", "again"):
+        for name in names:
+            assert ((tmp_path / archive / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), (archive, name)
+
+
 def test_solve_and_verify_load_no_scipy(tmp_path):
     out = str(tmp_path / "run")
     loaded = _scipy_loaded_after(

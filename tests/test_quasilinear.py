@@ -19,7 +19,7 @@ from beltrami_lab.errors import (
     MaxIterations,
     NotContractive,
 )
-from beltrami_lab.grid import GridField, coordinates, from_function, zeros
+from beltrami_lab.grid import GridField, coordinates, from_function
 from beltrami_lab.linear_solver import LinearProblem, solve_linear
 from beltrami_lab.quasilinear import (
     SolverConfig,
@@ -91,28 +91,39 @@ def test_frozen_fields_w_independent():
     spec = builtin_catalog("constant-disk", [0.5])
     f1 = from_function(L, 64, lambda z: z)
     f2 = from_function(L, 64, lambda z: z + 0.3 * np.conj(z))
-    mu1, _ = frozen_coefficient_fields(spec, f1, rung=8)
-    mu2, _ = frozen_coefficient_fields(spec, f2, rung=8)
-    np.testing.assert_array_equal(mu1.data, mu2.data)
+    index1, mu1, _ = frozen_coefficient_fields(spec, f1, rung=8)
+    index2, mu2, _ = frozen_coefficient_fields(spec, f2, rung=8)
+    np.testing.assert_array_equal(index1, index2)
+    np.testing.assert_array_equal(mu1, mu2)
 
 
 def test_frozen_fields_sec4_identity_map():
     spec = builtin_catalog("paper-example-sec4")
     ident = from_function(L, 64, lambda z: z)
-    mu, _ = frozen_coefficient_fields(spec, ident, rung=64)
+    mu, _ = embedded_fields(*frozen_coefficient_fields(spec, ident, rung=64))
     Z = coordinates(L, 64)
     j, k = 32, 36  # z = 0.25, on the positive real axis
     assert Z[j, k] == 0.25
-    assert mu.data[j, k] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert mu[j, k] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("rung", [2, 4])
 def test_frozen_fields_respect_rung_bound(rung):
     spec = builtin_catalog("paper-example-sec4")
     ident = from_function(L, 64, lambda z: z)
-    mu, nu = frozen_coefficient_fields(spec, ident, rung=rung)
-    s = np.abs(mu.data) + np.abs(nu.data)
+    _, mu, nu = frozen_coefficient_fields(spec, ident, rung=rung)
+    s = np.abs(mu) + np.abs(nu)
     assert s.max() <= (rung - 1) / (rung + 1) + 1e-12
+
+
+def embedded_fields(index, mu, nu, n=64):
+    """Sampled coefficients on the whole n x n grid, +0 at every other sample."""
+    grids = []
+    for samples in (mu, nu):
+        full = np.zeros(n * n, dtype=complex)
+        full[index] = samples
+        grids.append(full.reshape(n, n))
+    return grids
 
 
 CATALOG_PARAMS = {"constant-disk": [0.5], "radial-power": [0.9, 1.0], "w-damped-disk": [0.9]}
@@ -126,9 +137,9 @@ def test_frozen_fields_equal_full_grid_sampling(entry):
     Z = coordinates(L, 64)
     for rung in (2, 8):
         ref = truncate(*coefficient_fields(spec, Z, f.data), rung, None, Z)
-        got = frozen_coefficient_fields(spec, f, rung)
+        got = embedded_fields(*frozen_coefficient_fields(spec, f, rung))
         for a, b in zip(got, ref):
-            assert a.data.tobytes() == b.tobytes()
+            assert a.tobytes() == b.tobytes()
 
 
 def test_w_independent_spec_reduces_to_linear():
@@ -141,8 +152,8 @@ def test_w_independent_spec_reduces_to_linear():
     assert repeated_rung_row(report.rungs[-1]) == (0, 0, 0, "tol", [0.0, 0.0, 0.0])
     assert report.ladder_converged
     # support-radius semantics: coefficients vanish outside |z| <= 1
-    chi = (np.abs(coordinates(L, 128)) <= 1).astype(complex)
-    prob = LinearProblem(mu=GridField(L, 0.5 * chi), nu=zeros(L, 128), k_bound=0.5)
+    index = np.flatnonzero(np.abs(coordinates(L, 128)) <= 1)
+    prob = LinearProblem(L, 128, index, np.full(index.size, 0.5 + 0j), np.zeros(index.size), 0.5)
     direct = solve_linear(prob, cfg)
     np.testing.assert_array_equal(sol.f.data, direct.f.data)
 
@@ -371,7 +382,8 @@ def test_warm_solves_halve_the_picard_work(monkeypatch):
 def linear_residual(sol, prob):
     """Relative L2 residual of f_zbar = mu f_z + nu conj(f_z) over the whole grid."""
     fz = sol.fz.data
-    res = sol.fzbar.data - prob.mu.data * fz - prob.nu.data * np.conj(fz)
+    mu, nu = embedded_fields(prob.index, prob.mu, prob.nu, prob.n)
+    res = sol.fzbar.data - mu * fz - nu * np.conj(fz)
     return np.linalg.norm(res) / np.linalg.norm(fz)
 
 
@@ -386,15 +398,16 @@ def test_loose_warm_solves_skip_the_residual_check(monkeypatch):
         assert tol == cfg.inner_tol
         assert linear_residual(sol, prob) <= cfg.residual_tol
     assert report.ladder_converged
-    prob = LinearProblem(*frozen_coefficient_fields(builtin_catalog("w-damped-disk", [0.5]),
-                                                    GridField(L, coordinates(L, 32)), 4),
+    prob = LinearProblem(L, 32, *frozen_coefficient_fields(builtin_catalog("w-damped-disk", [0.5]),
+                                                           GridField(L, coordinates(L, 32)), 4),
                          rung_bound(4))
     strict = replace(cfg, residual_tol=1e-14)
     loose = solve_linear(prob, strict, tol=quasilinear._FORCING_CAP)
     assert loose.fz is None  # a loose solve forms no fz: form it from its omega
     omega = linear_solver.raw_omega(loose)
     fz = 1.0 + beurling_transform(GridField(L, omega)).data
-    res = omega - prob.mu.data * fz - prob.nu.data * np.conj(fz)
+    mu, nu = embedded_fields(prob.index, prob.mu, prob.nu, prob.n)
+    res = omega - mu * fz - nu * np.conj(fz)
     assert np.linalg.norm(res) / np.linalg.norm(fz) > strict.residual_tol
     with pytest.raises(MaxIterations):
         solve_linear(prob, strict)
@@ -475,7 +488,7 @@ W_SCAN = [f"{a}*exp(i*{b}*{g})" for a in (0.3, 0.5, 0.6) for b in (4, 8, 16)
 def test_w_scan_verdicts_mean_what_they_say(mu, monkeypatch):
     # asserts only what a stop and a verdict mean, never how many members
     # converge, and re-derives each from the solves rather than the labels
-    samplings = []  # (rung, f, mu, nu) of every frozen sampling, in order
+    samplings = []  # (rung, f, index, mu, nu) of every frozen sampling, in order
     real = quasilinear.frozen_coefficient_fields
 
     def sampled(spec, f, rung, q=None):
@@ -498,8 +511,9 @@ def test_w_scan_verdicts_mean_what_they_say(mu, monkeypatch):
         last = indices[-1]
         if len(indices) > steps:
             assert last > 0
-            (_, _, mu_a, nu_a), (_, _, mu_b, nu_b) = samplings[last - 1:last + 1]
-            assert np.array_equal(mu_a.data, mu_b.data) and np.array_equal(nu_a.data, nu_b.data)
+            (*_, index_a, mu_a, nu_a), (*_, index_b, mu_b, nu_b) = samplings[last - 1:last + 1]
+            assert np.array_equal(index_a, index_b)
+            assert np.array_equal(mu_a, mu_b) and np.array_equal(nu_a, nu_b)
         else:
             update = compact_sup_distance(solves[steps - 1][3].f, samplings[last][1],
                                           min(cfg.compact_margins))
@@ -511,7 +525,8 @@ def test_w_scan_verdicts_mean_what_they_say(mu, monkeypatch):
     # one more frozen-w solve at the final f moves it by less than outer_tol
     # on every tracked compact
     rung = report.final_rung
-    again = solve_linear(LinearProblem(*real(spec, sol.f, rung), rung_bound(rung)), cfg)
+    again = solve_linear(LinearProblem(L, cfg.grid_n, *real(spec, sol.f, rung), rung_bound(rung)),
+                         cfg)
     for margin in cfg.compact_margins:
         assert compact_sup_distance(again.f, sol.f, margin) < cfg.outer_tol
 

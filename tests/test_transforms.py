@@ -18,6 +18,7 @@ from beltrami_lab import transforms
 from beltrami_lab.errors import SupportTooLarge
 from beltrami_lab.grid import GridField, coordinates, from_function, zeros
 from beltrami_lab.transforms import (
+    _BoxTransform,
     _check_support,
     _kernels,
     _slug,
@@ -241,16 +242,21 @@ def test_in_place_passes_leave_inputs_and_caches_alone(field):
         assert np.abs(first - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
-        # the unchecked transform of the Picard loop: the same bits for any
-        # band that covers the occupied rows, and on any box asked for
-        band, _ = _check_support(omega.data, L)
+        # the unchecked transforms: the same bits for any band that covers
+        # the occupied rows, and, from the box of omega, on any box that
+        # covers its support, call after call
+        band, cols = _check_support(omega.data, L)
         whole = _slug_carried(omega.data, L, which, band)
         assert np.array_equal(whole, first)
         assert not np.shares_memory(whole, _slug_carried(omega.data, L, which, band))
         wide = slice(0, n) if band.start == band.stop else slice(band.start // 2, band.stop)
-        for box in ((slice(n // 4, 3 * n // 4), slice(None)), (band, slice(n // 8, n // 2)),
-                    (slice(0, 0), slice(0, 0))):
-            assert np.array_equal(_slug_carried(omega.data, L, which, wide, box), first[box])
+        assert np.array_equal(_slug_carried(omega.data, L, which, wide), first)
+        for box in ((band, cols), (wide, slice(None)), (slice(None), slice(None))):
+            on_box = _BoxTransform(L, n, which, box)
+            out = np.empty(first[box].shape, dtype=complex)
+            for _ in range(2):
+                assert on_box(omega.data[box], out) is out
+                assert np.array_equal(out, first[box])
     after = (omega.data, *kernels, *slug[:2])
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
@@ -259,20 +265,36 @@ def test_in_place_passes_leave_inputs_and_caches_alone(field):
 
 @pytest.mark.parametrize("field", IN_PLACE_FIELDS)
 def test_padded_spectrum_gives_the_bits_of_a_contiguous_one(field, monkeypatch):
-    # the row padding moves no bit of T or S, on the whole grid, the band or
-    # a box; the whole grid comes back contiguous, so GridField copies nothing
+    # the row padding moves no bit of T or S, on the whole grid or a box;
+    # the whole grid comes back contiguous, so GridField copies nothing
     n = 64
     omega = IN_PLACE_FIELDS[field](n)
-    band, _ = _check_support(omega.data, L)
+    band, cols = _check_support(omega.data, L)
     padded = _spectrum(n)
     assert padded.shape == (n, n) and padded.strides == ((n + 4) * 16, 16)
-    boxes = (None, (slice(None),) * 2, (band, slice(None)), (band, slice(n // 8, n // 2)))
-    outs = [_slug_carried(omega.data, L, which, band, box) for which in (0, 1) for box in boxes]
-    monkeypatch.setattr(transforms, "_spectrum", lambda n: np.zeros((n, n), dtype=complex))
-    refs = [_slug_carried(omega.data, L, which, band, box) for which in (0, 1) for box in boxes]
+    assert padded.base.shape == _kernels(L, n)[1].base.shape == (n, n + 4)
+    boxes = ((band, cols), (band, slice(None)), (slice(None), slice(None)))
+
+    def transforms_of_omega():
+        for which in (0, 1):
+            yield _slug_carried(omega.data, L, which, band)
+            for box in boxes:
+                yield _BoxTransform(L, n, which, box)(omega.data[box],
+                                                      np.empty(omega.data[box].shape, complex))
+
+    outs = list(transforms_of_omega())
+    # the kernels are laid out as the spectrum is: both are built again unpadded
+    monkeypatch.setattr(transforms, "_PAD", 0)
+    _kernels.cache_clear()
+    try:
+        assert _spectrum(n).flags.c_contiguous
+        refs = list(transforms_of_omega())
+    finally:
+        monkeypatch.undo()
+        _kernels.cache_clear()
     for out, ref in zip(outs, refs):
         assert np.array_equal(out, ref)
-    for whole in outs[::len(boxes)]:
+    for whole in outs[::len(boxes) + 1]:
         assert whole.shape == (n, n) and whole.flags.c_contiguous
 
 
