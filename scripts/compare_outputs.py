@@ -7,7 +7,9 @@ Extracts the base revision's tree with `git archive` into a temporary
 directory, then runs one fixed list of commands through
 `beltrami_lab.cli.main` on each tree, in a fresh Python process that
 imports the package from that tree's `src/`: a `solve` and a `verify`
-of each benchmark workload and of seven catalog specs at n = 128, a
+of each benchmark workload, of seven catalog specs at n = 128 and of
+paper-example-sec4-phase2 at n = 512 (warm, loose and stalled solves on
+the grid size whose FFT passes run on two threads), a
 `verify` of an archive of a folded map (the only one whose cover test
 finds overlapping bins), the `analyze` config of the CI smoke test,
 `example --grid 32 --ladder 2,4`, a `verify --heatmaps` of the disk-0.5
@@ -46,6 +48,7 @@ SOLVES = (
     ("radial-0.9", "radial-power:0.9,1", 128),
     ("radial-0.96", "radial-power:0.96,1", 128),
     ("wdamped-0.55", "w-damped-disk:0.55", 128),
+    ("phase2-512", "paper-example-sec4-phase2", 512),
 )
 ANALYZE_CONFIG = "spec = constant-disk:0.5\nQ = 3\nQ1 = 9\nz0 = 0 0.5\n"  # as in CI
 FOLD = "fold"  # archive of f = min(x, -2x) + i y at n = 128, written by write_fold_archive

@@ -7,7 +7,10 @@ through `beltrami_lab.cli.main` in this process, each into a fresh
 temporary directory, and prints one row per solve: its wall, user and
 system seconds and the minor page faults it took (differences of
 `resource.getrusage` around the call). The solves run on one thread of
-every library thread pool, as the benchmark's do.
+every library thread pool, as the benchmark's do. From n = 512 on, on a
+host with two CPUs, the transforms split each FFT pass over the calling
+thread and one worker thread; the user and system seconds count both
+threads, so there they can exceed the wall seconds.
 
 Usage: python scripts/solve_costs.py --spec constant-disk:0.5 --grid 512 --repeat 5
 """

@@ -116,12 +116,25 @@ def compact_sup_distance(f: GridField, g: GridField, margin: float) -> float:
     Those samples form a square block of the grid: the index range, on
     either axis, where |x| <= L - margin. No grid-sized mask is built.
     """
+    return compact_sup_distances(f, g, (margin,))[0]
+
+
+def compact_sup_distances(f: GridField, g: GridField, margins) -> list:
+    """compact_sup_distance for each margin. The blocks are nested, so |f - g|
+    is formed once, on the largest block, and each block's max is taken
+    from it: the same bits, since a max is exact."""
     if not f.same_geometry(g):
         raise ValueError("fields must share box and resolution")
-    _check_margin(margin, f.L)
-    inside = np.flatnonzero(np.abs(coordinates(f.L, f.n)[0].real) <= f.L - margin)
-    block = slice(inside[0], inside[-1] + 1)
-    return float(np.abs(f.data[block, block] - g.data[block, block]).max())
+    x = coordinates(f.L, f.n)[0].real
+    blocks = []
+    for margin in margins:
+        _check_margin(margin, f.L)
+        inside = np.flatnonzero(np.abs(x) <= f.L - margin)
+        blocks.append(slice(inside[0], inside[-1] + 1))
+    outer = min(blocks, key=lambda block: block.start)
+    diff = np.abs(f.data[outer, outer] - g.data[outer, outer])
+    inner = [slice(block.start - outer.start, block.stop - outer.start) for block in blocks]
+    return [float(diff[block, block].max()) for block in inner]
 
 
 def frozen_coefficient_fields(spec: CoefficientSpec, f: GridField, rung: int, q=None):
@@ -242,7 +255,7 @@ def solve_quasilinear(spec: CoefficientSpec, cfg: SolverConfig):
             picard_steps.append(solution.trace.steps)
         f_current = solution.f  # every rung ends on the map it reports
         distances = (
-            [compact_sup_distance(f_current, prev_rung_f, m) for m in cfg.compact_margins]
+            compact_sup_distances(f_current, prev_rung_f, cfg.compact_margins)
             if prev_rung_f is not None
             else [float("nan")] * len(cfg.compact_margins)
         )

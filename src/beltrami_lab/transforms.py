@@ -63,10 +63,40 @@ per (L, n), so a solve builds only the former; the cached grids are built
 in place where the bits allow, so a build holds few grids beyond its
 results. `_sample_support` gives `_check_support`'s box and verdict for a
 grid given by its nonzero samples, without building the grid.
+
+On a grid with n >= 512, in a process whose CPU affinity mask holds at
+least two CPUs, each phase of a transform runs as two disjoint halves of
+its lines: the lower half on the calling thread, the upper one on a
+single daemon worker thread (`_Worker`, started by the first such
+transform), joined before the next phase. The phases are the forward row
+pass (for a `_BoxTransform` with the zeros around the iterate and its
+copy), the forward column pass, the multiplier, the inverse column pass
+and the inverse row pass with c R_X (`_runner`; below 512 or on one CPU
+every phase runs as one range, through the same functions). The
+multiplier is a phase of its own, over the buffers' rows: on a column
+half it would be strided, and numpy allocates its iteration buffers for
+that. No bit changes: every pass transforms each row or column alone,
+and the multiplier and c R_X act on each sample alone, so which thread
+handles a line changes nothing (Frigo and Johnson, Proc. IEEE 93, 2005,
+split a row-column FFT the same way). numpy's FFTs release the
+interpreter lock, so the halves run at once. The threshold is measured,
+on two cores of a shared Xeon host: a box transform of the unit disk's
+box, split, took 0.60-0.65x of its one-range time at n = 512, 0.97-1.09x
+at n = 256 and 1.8-1.9x at n = 128, where the passes are too short to
+pay for the five hand-offs of a transform. The worker runs numpy
+calls only, on views the caller prepared, in a copy of the caller's
+context, so the caller's `np.errstate` holds in both halves; an
+exception raised in its half (a RuntimeWarning made an error included)
+is raised in the caller, and the worker runs on. It drops each job
+before it reports it done, so between transforms it holds no array.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -210,6 +240,92 @@ def _check_extent(row_span, col_span, L: float, n: int):
         )
 
 
+_SPLIT_N = 512  # from this grid size on, each pass runs as two halves of its lines
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _one(phase, lines, *arrays):
+    """phase(*arrays, lo, hi) over all its lines, [0, lines), on this thread."""
+    phase(*arrays, 0, lines)
+
+
+def _attempt(context, phase, arrays, lo, hi):
+    """phase(*arrays, lo, hi) run in the caller's context; the exception it
+    raised, or None."""
+    try:
+        context.run(phase, *arrays, lo, hi)
+    except BaseException as exc:  # handed to the caller, which raises it
+        return exc
+    return None
+
+
+class _Worker:
+    """A daemon thread that runs the upper half of a pass's lines while the
+    calling thread runs the lower half. A job holds only the caller's
+    context, a phase function and the views it reads; the thread drops them
+    before it reports the job done, so between jobs it holds no array."""
+
+    def __init__(self):
+        self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        self.idle = threading.Lock()
+        threading.Thread(target=self._serve, name="beltrami-lab-passes", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.done.put(_attempt(*self.jobs.get()))
+
+    def __call__(self, phase, lines, *arrays):
+        """phase(*arrays, lo, hi) over [0, lines) as two halves, the upper one
+        on the worker, both under the caller's numpy error state; joined before
+        it returns, and an exception of either half is raised here. While
+        another thread's pass holds the worker, the lines run as one range."""
+        if not self.idle.acquire(blocking=False):
+            return _one(phase, lines, *arrays)
+        mid = lines // 2
+        self.jobs.put((contextvars.copy_context(), phase, arrays, mid, lines))
+        try:
+            phase(*arrays, 0, mid)
+        finally:
+            error = self.done.get()  # a wait cut by an interrupt leaves the worker held, unused
+            self.idle.release()
+        if error is not None:
+            raise error
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _runner(n: int):
+    """How a transform on an n x n grid runs its passes: `_one` range of
+    lines, or, from _SPLIT_N on in a process that may run on two CPUs,
+    two halves through the worker, which starts on the first such call."""
+    global _worker
+    if n < _SPLIT_N or _cpu_count() < 2:
+        return _one
+    with _worker_lock:
+        if _worker is None:
+            _worker = _Worker()
+        return _worker
+
+
+def _forget_worker():
+    """In a forked child, which has no worker thread: start one when needed."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 _PAD = 4  # samples of padding at the end of each spectrum row
 
 
@@ -222,30 +338,59 @@ def _spectrum(n: int) -> np.ndarray:
     return np.zeros((n, n + _PAD), dtype=complex)[:, :n]
 
 
-def _passes(spec: np.ndarray, L: float, which: int):
+def _forward_rows(src, dst, lo, hi):
+    """The forward pass along the rows lo:hi of src, into dst."""
+    fft.fft(src[lo:hi], axis=1, out=dst[lo:hi])
+
+
+def _column_pass(transform, spec, lo, hi):
+    """transform along the columns lo:hi of spec, in place."""
+    cols = spec[:, lo:hi]
+    transform(cols, axis=0, out=cols)
+
+
+def _multiply(buf, mult, lo, hi):
+    """The multiplier buffer mult over the rows lo:hi of a spectrum's buffer:
+    a contiguous block of both, so numpy runs it without iteration buffers."""
+    rows = buf[lo:hi]
+    np.multiply(rows, mult[lo:hi], out=rows)
+
+
+def _passes(spec: np.ndarray, L: float, which: int, run):
     """The passes of T (which=0) or S (which=1) between the row passes, in
-    place on the `_spectrum` spec after its forward row pass: the forward
-    column pass, the multiplier (over the buffers) and the inverse column
-    pass. Returns the slug correction's factor c, from the mass."""
+    place on the `_spectrum` spec after its forward row pass, each through
+    run: the forward column pass, the multiplier (over the buffers' rows)
+    and the inverse column pass. Returns the slug correction's factor c,
+    from the mass."""
     n = spec.shape[0]
-    fft.fft(spec, axis=0, out=spec)
+    run(_column_pass, n, fft.fft, spec)
     c = spec[0, 0] * (2.0 * L / n) ** 2 * _slug(L, n)[2]  # the zero frequency is the mass
-    np.multiply(spec.base, _kernels(L, n)[which].base, out=spec.base)
-    fft.ifft(spec, axis=0, out=spec)
+    run(_multiply, n, spec.base, _kernels(L, n)[which].base)
+    run(_column_pass, n, fft.ifft, spec)
     return c
 
 
 def _slug_carried(data: np.ndarray, L: float, which: int, band: slice):
     """T (which=0) or S (which=1) of data as a new contiguous grid; unchecked:
     data must vanish off `band` rows. The last pass runs out of place, and
-    c R_X is formed in the spectrum's buffer, which that pass left free."""
+    c R_X is formed in the spectrum's buffer, which that pass left free.
+    Each pass runs through the grid's `_runner`."""
     n = data.shape[0]
-    spec = _spectrum(n)
-    fft.fft(data[band], axis=1, out=spec[band])
-    c = _passes(spec, L, which)
-    out = fft.ifft(spec, axis=1)
-    out += np.multiply(c, _slug(L, n)[which], out=spec.base.reshape(-1)[:n * n].reshape(n, n))
+    run, spec = _runner(n), _spectrum(n)
+    run(_forward_rows, band.stop - band.start, data[band], spec[band])
+    c = _passes(spec, L, which, run)
+    out = np.empty((n, n), dtype=complex)
+    run(_carried_rows, n, spec, c, _slug(L, n)[which], out)
     return out
+
+
+def _carried_rows(spec, c, R, out, lo, hi):
+    """The inverse row pass over the rows lo:hi of spec, into those of out,
+    plus c R: c R is formed in those rows' buffer, which the pass left free."""
+    rows = out[lo:hi]
+    fft.ifft(spec[lo:hi], axis=1, out=rows)
+    free = spec.base[lo:hi].reshape(-1)[:rows.size].reshape(rows.shape)
+    rows += np.multiply(c, R[lo:hi], out=free)
 
 
 class _BoxTransform:
@@ -254,7 +399,8 @@ class _BoxTransform:
     buffer for c R_X are made once, so that a call allocates nothing."""
 
     def __init__(self, L: float, n: int, which: int, box):
-        self.L, self.which, self.box = L, which, box
+        self.L, self.which = L, which
+        self.box = tuple(slice(*line.indices(n)[:2]) for line in box)
         self.spec = _spectrum(n)
         self.R = np.ascontiguousarray(_slug(L, n)[which][box])
         self.cR = np.empty_like(self.R)
@@ -263,20 +409,39 @@ class _BoxTransform:
         """The transform, on the box and into `out`, of the grid that holds
         the box-shaped omega on the box and zero elsewhere. omega is copied
         into the spectrum and the zeros around it are written again, so that
-        the row passes run in place, the inverse one over the box's rows."""
+        the row passes run in place, the inverse one over the box's rows.
+        Each phase runs through the grid's `_runner`."""
+        run = _runner(self.spec.shape[0])
+        run(self._forward_rows, len(omega), omega)
+        c = _passes(self.spec, self.L, self.which, run)
+        run(self._inverse_rows, len(omega), c, out)
+        return out
+
+    def _forward_rows(self, omega, lo, hi):
+        """The box's rows lo:hi: the zeros beside them written again, omega's
+        rows copied in, the forward row pass. The range that starts at the
+        box's first row zeroes the rows above the box, the one that ends at
+        its last row those below."""
         (rows, cols), spec = self.box, self.spec
-        spec[:rows.start] = 0.0
-        spec[rows.stop:] = 0.0
-        band = spec[rows]
+        if lo == 0:
+            spec[:rows.start] = 0.0
+        if hi == len(omega):
+            spec[rows.stop:] = 0.0
+        band = spec[rows.start + lo:rows.start + hi]
         band[:, :cols.start] = 0.0
         band[:, cols.stop:] = 0.0
-        band[:, cols] = omega
+        band[:, cols] = omega[lo:hi]
         fft.fft(band, axis=1, out=band)
-        c = _passes(spec, self.L, self.which)
+
+    def _inverse_rows(self, c, out, lo, hi):
+        """The inverse row pass over the box's rows lo:hi, and the transform
+        on them, with c R_X, into the rows lo:hi of out."""
+        (rows, cols), spec = self.box, self.spec
+        band = spec[rows.start + lo:rows.start + hi]
         fft.ifft(band, axis=1, out=band)
-        out[...] = band[:, cols]
-        out += np.multiply(c, self.R, out=self.cR)
-        return out
+        out_rows = out[lo:hi]
+        out_rows[...] = band[:, cols]
+        out_rows += np.multiply(c, self.R[lo:hi], out=self.cR[lo:hi])
 
 
 def cauchy_transform(omega: GridField) -> GridField:

@@ -575,28 +575,52 @@ def test_problem_rejects_bad_samples():
 def test_unchecked_steps_allocate_nothing_of_box_size(monkeypatch):
     # steady-state steps, norms included, run in the solve's reused buffers:
     # over ten steps after the first two, the traced peak stays within a few
-    # kB of the current size (the box holds 63 x 63 samples, 62 kB)
-    prob = constant_disk_problem(0.5, n=128, nu_side=True)
-    assert prob.mu_box.shape == (63, 63)
-    marks, step = [], linear_solver.picard_step
+    # kB of the current size (the box holds 63 x 63 samples, 62 kB, at
+    # n = 128); at n = 512 each pass runs as two halves, one on the worker
+    monkeypatch.setattr(transforms, "_cpu_count", lambda: 2)
+    step = linear_solver.picard_step
+    for n, side in ((128, 63), (512, 255)):
+        prob = constant_disk_problem(0.5, n=n, nu_side=True)
+        assert prob.mu_box.shape == (side, side)
+        assert (transforms._runner(n) is transforms._worker) == (n == 512)
+        marks = []
 
-    def marked(*args):
-        if len(marks) in (3, 13):
-            marks.append(tracemalloc.get_traced_memory())
-            tracemalloc.reset_peak()
-        else:
-            marks.append(None)
-        return step(*args)
+        def marked(*args):
+            if len(marks) in (3, 13):
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            else:
+                marks.append(None)
+            return step(*args)
 
-    monkeypatch.setattr(linear_solver, "picard_step", marked)
-    tracemalloc.start()
-    try:
-        sol = solve_linear(prob, SolverConfig(grid_n=128, box=L))
-    finally:
-        tracemalloc.stop()
-    assert sol.trace.steps > 14
-    (current, _), (_, peak) = marks[3], marks[13]
-    assert peak - current < 4096
+        monkeypatch.setattr(linear_solver, "picard_step", marked)
+        tracemalloc.start()
+        try:
+            sol = solve_linear(prob, SolverConfig(grid_n=n, box=L))
+        finally:
+            tracemalloc.stop()
+        assert sol.trace.steps > 14
+        (current, _), (_, peak) = marks[3], marks[13]
+        assert peak - current < 4096, n
+
+
+def test_split_passes_solve_to_the_bits_of_one_range(monkeypatch):
+    # at n = 512 every pass of a solve, cold and warm, tight and loose,
+    # runs as two halves on two threads, or as one range on one CPU
+    n = 512
+    cfg = SolverConfig(grid_n=n, box=L)
+    prob = constant_disk_problem(0.5, n=n, nu_side=True)
+    solves = []
+    for count in (1, 2):
+        monkeypatch.setattr(transforms, "_cpu_count", lambda count=count: count)
+        assert (transforms._runner(n) is transforms._worker) == (count == 2)
+        solves.append([solve_linear(prob, cfg),
+                       solve_linear(prob, cfg, omega0=0.3 * disk_indicator(n), tol=1e-3)])
+    for one, split in zip(*solves):
+        assert one.trace.update_norms == split.trace.update_norms
+        for name in ("f", "fz", "fzbar"):
+            a, b = getattr(one, name), getattr(split, name)
+            assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes(), name
 
 
 def test_solve_peak_memory_in_grids():

@@ -24,6 +24,7 @@ from beltrami_lab.linear_solver import LinearProblem, solve_linear
 from beltrami_lab.quasilinear import (
     SolverConfig,
     compact_sup_distance,
+    compact_sup_distances,
     frozen_coefficient_fields,
     solve_quasilinear,
 )
@@ -71,9 +72,14 @@ def test_compact_sup_distance_reads_the_square_block():
         Z = coordinates(L, n)
         f, g = (GridField(L, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
                 for _ in range(2))
-        for margin in (1.9, 1.5, 1.0, 0.5, 0.3, 2.0 / n, 1e-3):
+        margins = (1.9, 1.5, 1.0, 0.5, 0.3, 2.0 / n, 1e-3)
+        for margin in margins:
             mask = np.maximum(np.abs(Z.real), np.abs(Z.imag)) <= L - margin
             assert compact_sup_distance(f, g, margin) == np.abs(f.data - g.data)[mask].max()
+        # all margins from one pass over the largest block, in any order
+        for some in (margins, margins[::-1], (0.5, 1.5, 1.0)):
+            assert compact_sup_distances(f, g, some) == [compact_sup_distance(f, g, m)
+                                                         for m in some]
 
 
 def test_compact_sup_distance_affine_vs_identity():

@@ -11,6 +11,13 @@ polar coordinates around the probe), which pins the sign and
 normalization conventions independently of the implementation.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -296,6 +303,199 @@ def test_padded_spectrum_gives_the_bits_of_a_contiguous_one(field, monkeypatch):
         assert np.array_equal(out, ref)
     for whole in outs[::len(boxes) + 1]:
         assert whole.shape == (n, n) and whole.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# passes split over two threads at n >= 512
+
+
+def centred_box(n):
+    """A random field on |x|, |y| <= 1: 257 rows and columns at n = 512."""
+    z = coordinates(L, n)
+    return random_supported_field(n, lambda _: np.maximum(np.abs(z.real), np.abs(z.imag)) <= 1,
+                                  seed=5)
+
+
+SPLIT_FIELDS = {"centred box": centred_box, **IN_PLACE_FIELDS}
+
+
+def cpus(monkeypatch, count):
+    """Make the transforms see a process that may run on `count` CPUs."""
+    monkeypatch.setattr(transforms, "_cpu_count", lambda: count)
+
+
+def all_transforms(omega):
+    """T and S of omega, public and on its box, as bytes."""
+    band, cols = _check_support(omega.data, L)
+    for which, op in enumerate((cauchy_transform, beurling_transform)):
+        yield op(omega).data.tobytes()
+        on_box = _BoxTransform(L, omega.n, which, (band, cols))
+        yield on_box(omega.data[band, cols], np.empty(omega.data[band, cols].shape,
+                                                      complex)).tobytes()
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS)
+def test_split_passes_give_the_bits_of_one_range(field, monkeypatch):
+    n = 512
+    omega = SPLIT_FIELDS[field](n)
+    if field == "centred box":
+        assert _check_support(omega.data, L) == (slice(128, 385), slice(128, 385))
+    cpus(monkeypatch, 1)
+    assert transforms._runner(n) is transforms._one
+    one = list(all_transforms(omega))
+    cpus(monkeypatch, 2)
+    assert transforms._runner(n) is transforms._worker
+    assert list(all_transforms(omega)) == one
+
+
+def halves_on_threads(lines=8):
+    """Run a phase through the n = 512 runner; the thread of each half."""
+    ran = {}
+
+    def phase(lo, hi):
+        ran[lo] = threading.get_ident()
+
+    transforms._runner(512)(phase, lines)
+    return ran
+
+
+def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch):
+    cpus(monkeypatch, 2)
+    before = halves_on_threads()
+    assert before[0] == threading.get_ident() != before[4]
+
+    def upper_half_fails(lo, hi):
+        if lo:
+            raise KeyError(f"lines {lo}:{hi}")
+
+    with pytest.raises(KeyError, match="lines 4:8"):
+        transforms._runner(512)(upper_half_fails, 8)
+    assert halves_on_threads() == before  # the same worker, which runs on
+
+    def overflow_in_the_upper_half():
+        data = np.ones(16)
+        data[8:] = 1e308
+
+        def overflow(lo, hi):
+            np.multiply(data[lo:hi], 10.0, out=data[lo:hi])
+
+        transforms._runner(512)(overflow, 16)
+        return data
+
+    with pytest.raises(RuntimeWarning, match="overflow"):  # pytest makes warnings errors
+        overflow_in_the_upper_half()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        overflow_in_the_upper_half()
+    with np.errstate(over="ignore"):
+        data = overflow_in_the_upper_half()
+    assert np.isinf(data[8:]).all() and (data[:8] == 10.0).all()
+    assert halves_on_threads() == before
+
+
+def test_split_passes_keep_the_callers_error_state(monkeypatch):
+    # samples whose FFTs overflow: under errstate(all="ignore") neither half
+    # warns, and the infinities and NaNs are those of one range
+    omega = GridField(L, off_centre_rectangle(512).data * 1e306)
+    band, cols = _check_support(omega.data, L)
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(RuntimeWarning):
+            _slug_carried(omega.data, L, 1, band)
+        with np.errstate(all="ignore"):
+            results.append([_slug_carried(omega.data, L, 1, band).tobytes(),
+                            _BoxTransform(L, 512, 1, (band, cols))(
+                                omega.data[band, cols],
+                                np.empty(omega.data[band, cols].shape, complex)).tobytes()])
+    assert not np.isfinite(np.frombuffer(results[0][0], complex)).all()
+    assert results[0] == results[1]
+
+
+def threads_after(code):
+    """threading.active_count() after running code in a fresh interpreter."""
+    script = ("import os, threading\n"
+              "import numpy as np\n"
+              "from beltrami_lab import transforms\n"
+              "from beltrami_lab.grid import GridField\n"
+              f"{code}\n"
+              "print(threading.active_count())")
+    src = str(Path(transforms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+TRANSFORM_512 = ("omega = np.zeros((512, 512), complex); omega[200:300, 200:300] = 1\n"
+                 "transforms.beurling_transform(GridField(2.0, omega))")
+
+
+def test_no_thread_below_512_or_on_one_cpu():
+    small = ("omega = np.zeros((256, 256), complex); omega[100:150, 100:150] = 1\n"
+             "transforms.beurling_transform(GridField(2.0, omega))")
+    assert threads_after(small) == 1
+    assert threads_after("transforms._cpu_count = lambda: 1\n" + TRANSFORM_512) == 1
+    if hasattr(os, "sched_setaffinity"):
+        one_cpu = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        assert threads_after(one_cpu + TRANSFORM_512) == 1
+    # the worker starts on the first transform at 512 that may use two CPUs
+    two_cpus = "transforms._cpu_count = lambda: 2\n" + TRANSFORM_512
+    assert threads_after(two_cpus) == 2
+    if hasattr(os, "fork"):  # a forked child, which has no worker, starts its own
+        child = ("if not os.fork():\n"
+                 "    transforms.beurling_transform(GridField(2.0, omega))\n"
+                 "    os._exit(threading.active_count())\n"
+                 "assert os.waitstatus_to_exitcode(os.wait()[1]) == 2")
+        assert threads_after(f"{two_cpus}\n{child}") == 2
+
+
+def test_the_worker_holds_no_array_after_a_transform(monkeypatch):
+    cpus(monkeypatch, 2)
+    spectra, make = [], transforms._spectrum
+
+    def tracked(n):
+        spec = make(n)
+        spectra.append(weakref.ref(spec.base))
+        return spec
+
+    monkeypatch.setattr(transforms, "_spectrum", tracked)
+    omega = centred_box(512)
+    band, cols = _check_support(omega.data, L)
+    result = beurling_transform(omega)
+    on_box = _BoxTransform(L, 512, 1, (band, cols))
+    on_box(omega.data[band, cols], np.empty(omega.data[band, cols].shape, complex))
+    assert transforms._runner(512) is transforms._worker
+    assert spectra[0]() is None  # the public call's spectrum went with the call
+    del on_box
+    assert spectra[1]() is None
+    assert result.data.flags.owndata
+
+
+def test_transforms_from_several_threads_give_the_bits_of_one(monkeypatch):
+    # callers that find the worker busy run their passes as one range
+    omega = off_centre_rectangle(512)
+    cpus(monkeypatch, 1)
+    one = list(all_transforms(omega))
+    cpus(monkeypatch, 2)
+    results, switch = [], sys.getswitchinterval()
+
+    def caller():
+        for _ in range(3):
+            results.append(list(all_transforms(omega)) == one)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results == [True] * 12
 
 
 def smooth_mean_zero_bump(n):
