@@ -6,7 +6,9 @@ fills the grid and FFT caches, then --repeat full `solve` commands
 through `beltrami_lab.cli.main` in this process, each into a fresh
 temporary directory, and prints one row per solve: its wall, user and
 system seconds and the minor page faults it took (differences of
-`resource.getrusage` around the call). The solves run on one thread of
+`resource.getrusage` around the call), and the process's peak resident
+set after it (`ru_maxrss`, in MB), which shows where the order of the
+transforms' allocations moves the peak. The solves run on one thread of
 every library thread pool, as the benchmark's do. From n = 512 on, on a
 host with two CPUs, the transforms split each FFT pass over the calling
 thread and one worker thread; the user and system seconds count both
@@ -31,6 +33,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 from beltrami_lab import cli  # noqa: E402  (after the thread pools are pinned)
 
 COMPLETED = (0, 3)  # exit codes of a solve that wrote its archive
+MAXRSS_MB = 1 / 1024**2 if sys.platform == "darwin" else 1 / 1024  # ru_maxrss: bytes or kB
 
 
 def run(argv):
@@ -52,14 +55,15 @@ def main():
     solve = ["solve", "--spec", args.spec, "--grid", str(args.grid)]
     with tempfile.TemporaryDirectory() as tmp:
         run(solve + ["--ladder", "4", "--out", str(Path(tmp) / "warm")])
-        print(f"{'solve':>5} {'wall_s':>8} {'user_s':>8} {'sys_s':>8} {'minor_faults':>12}")
+        print(f"{'solve':>5} {'wall_s':>8} {'user_s':>8} {'sys_s':>8} {'minor_faults':>12} "
+              f"{'maxrss_mb':>9}")
         for k in range(1, args.repeat + 1):
             before, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
             run(solve + ["--out", str(Path(tmp) / f"solve-{k}")])
             wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
             print(f"{k:>5} {wall:8.4f} {after.ru_utime - before.ru_utime:8.4f} "
                   f"{after.ru_stime - before.ru_stime:8.4f} "
-                  f"{after.ru_minflt - before.ru_minflt:12d}")
+                  f"{after.ru_minflt - before.ru_minflt:12d} {after.ru_maxrss * MAXRSS_MB:9.1f}")
 
 
 if __name__ == "__main__":

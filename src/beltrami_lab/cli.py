@@ -142,13 +142,13 @@ def cmd_analyze(args):
 
 def cmd_solve(args):
     spec = _resolve_spec(args.spec)
-    _, report = _solve(spec, _solver_config(args), _outdir(args, "solve-out"))
+    # save_solution makes the directory: a refused spec or a failed solve leaves none
+    _, report = _solve(spec, _solver_config(args), Path(args.out or "solve-out"))
     return 0 if report.ladder_converged else 3
 
 
 def cmd_verify(args):
     src = Path(args.archive)
-    out = _outdir(args, src)
     meta = read_meta(src)
     solution = load_solution(src, meta)
     if args.spec:
@@ -157,7 +157,7 @@ def cmd_verify(args):
         spec = spec_from_dict(meta["spec"], source=src / "meta.json")
     else:
         raise ConfigError("archive has no embedded spec; pass --spec")
-    _verify(solution, spec, out, args.heatmaps)
+    _verify(solution, spec, _outdir(args, src), args.heatmaps)  # a refused input leaves no directory
     return 0
 
 

@@ -27,50 +27,62 @@ isometry to round-off. Sign and normalization are pinned by the two
 oracles dbar T = id and T chi_D = conj(z) inside the unit disk, 1/z
 outside (verified against direct quadrature of the Cauchy integral).
 
-The FFTs are numpy.fft's, so a solve or a verify loads no scipy. Each
-public transform call makes one spectrum grid and runs its FFT passes in
-place on it (`out=`, numpy >= 2.0); without `out=` each pass allocates a
-fresh grid. The spectrum is the n x n view of an n x (n + 4) buffer
-(`_spectrum`): a row of n complex samples spans a power of two of bytes,
-so the samples of one column would fall into a few cache sets, and the
-column passes (axis 0) ran 1.5-2.2x slower than the row passes; four
-samples of padding per row take the stride off that power of two (one
-column pass at n = 512 on one Xeon thread: 2.7 -> 1.5 ms). Each pass
-transforms every column or row alone, so the padding changes no bit of
-a result. The T and S multipliers are laid out the same way, zero in the
-padding, so the spectrum is multiplied over the whole buffers: a
-contiguous pass, which numpy runs without allocating the iteration
-buffers a strided one takes.
+The FFTs are numpy.fft's, so a solve or a verify loads no scipy. A
+transform runs its FFT passes in place on one spectrum grid (`out=`,
+numpy >= 2.0); without `out=` each pass allocates a fresh grid. The
+spectrum is the n x n view of an n x (n + 4) buffer (`_spectrum`): a row
+of n complex samples spans a power of two of bytes, so the samples of
+one column would fall into a few cache sets, and the column passes
+(axis 0) ran 1.5-2.2x slower than the row passes; four samples of
+padding per row take the stride off that power of two (one column pass
+at n = 512 on one Xeon thread: 2.7 -> 1.5 ms). Each pass transforms
+every column or row alone, so the padding changes no bit of a result.
+The T and S multipliers are laid out the same way, zero in the padding,
+so the spectrum is multiplied over the whole buffers: a contiguous pass,
+which numpy runs without allocating the iteration buffers a strided one
+takes.
 
-Every public transform call checks the support of its input, taking
-|data| only over the band of rows that hold a nonzero sample, and the
-forward FFT's first pass (along rows) runs only over that band; the
-remaining rows are zero and transform to zero. A public call runs its
-last pass (inverse, along rows) out of place, into the contiguous grid
-it returns, and adds c R_X there through the spectrum's buffer, which
-that pass has left free, so it makes no n x n temporary. The Picard
-loop's unchecked calls go through a `_BoxTransform`, made once per
-solve: they read a box-shaped iterate, copy it into their one spectrum
-(writing the zeros around it again), run the row passes in place, the
-inverse one over the box's rows only, and write S on the box into the
-caller's array, with c R_X formed in a reused box buffer; a call
-allocates nothing. A solve takes S of its fixed point (for f_z) only
-when it runs to inner_tol; a looser solve, which only steers the
-quasilinear outer loop, takes T alone, and a solve whose fixed point is
-zero (its coefficients are all truncated) takes neither. The T/S
-multipliers and the d/dbar multipliers of `derivatives` are cached apart
-per (L, n), so a solve builds only the former; the cached grids are built
-in place where the bits allow, so a build holds few grids beyond its
-results. `_sample_support` gives `_check_support`'s box and verdict for a
-grid given by its nonzero samples, without building the grid.
+Every transform runs through one pipeline, `_BoxTransform`: T or S,
+sampled on an output box, of the grid that holds a box-shaped input on
+an input box and zero elsewhere. A call copies the input into its
+spectrum, writing the zeros around it again, and runs the forward row
+pass over the input box's rows only, since every other row is zero and
+transforms to zero; the column passes and the multiplier run over the
+whole spectrum, and the inverse row pass over the output box's rows
+only. A public T or S checks the support of its input, taking |data|
+only over the band of rows that hold a nonzero sample, and transforms
+from that band (all columns) onto the whole grid, with a spectrum that
+goes with the call. The Picard loop makes one `_BoxTransform` per solve,
+from the coefficient box onto itself, whose unchecked calls write S on
+the box into the caller's array and allocate nothing. Two memory
+constraints shape the last pass. An output of whole rows (a public
+call's) is allocated after the column passes, not before the first
+pass: made first, it raised the disk-512 benchmark's peak RSS by
+0.05-0.13 MB in 3 of 3 runs. Its inverse row pass runs out of place,
+into that output, and c R_X is formed in the spectrum rows the pass has
+freed, so a public call holds its spectrum and its output and no third
+grid. Any other output box keeps a c R_X buffer of its own, made once
+per solve, as the Picard loop's always has: forming c R_X in its freed
+spectrum rows instead gave no lower sec4-256 peak (50.70-50.89 against
+50.70-50.79 MB over 3 runs).
+
+A solve takes S of its fixed point (for f_z) only when it runs to
+inner_tol; a looser solve, which only steers the quasilinear outer loop,
+takes T alone, and a solve whose fixed point is zero (its coefficients
+are all truncated) takes neither. The T/S multipliers and the d/dbar
+multipliers of `derivatives` are cached apart per (L, n), so a solve
+builds only the former; the cached grids are built in place where the
+bits allow, so a build holds few grids beyond its results.
+`_sample_support` gives `_check_support`'s box and verdict for a grid
+given by its nonzero samples, without building the grid.
 
 On a grid with n >= 512, in a process whose CPU affinity mask holds at
 least two CPUs, each phase of a transform runs as two disjoint halves of
 its lines: the lower half on the calling thread, the upper one on a
 single daemon worker thread (`_Worker`, started by the first such
 transform), joined before the next phase. The phases are the forward row
-pass (for a `_BoxTransform` with the zeros around the iterate and its
-copy), the forward column pass, the multiplier, the inverse column pass
+pass (the zeros around the input box written again, the input copied
+in), the forward column pass, the multiplier, the inverse column pass
 and the inverse row pass with c R_X (`_runner`; below 512 or on one CPU
 every phase runs as one range, through the same functions). The
 multiplier is a phase of its own, over the buffers' rows: on a column
@@ -338,11 +350,6 @@ def _spectrum(n: int) -> np.ndarray:
     return np.zeros((n, n + _PAD), dtype=complex)[:, :n]
 
 
-def _forward_rows(src, dst, lo, hi):
-    """The forward pass along the rows lo:hi of src, into dst."""
-    fft.fft(src[lo:hi], axis=1, out=dst[lo:hi])
-
-
 def _column_pass(transform, spec, lo, hi):
     """transform along the columns lo:hi of spec, in place."""
     cols = spec[:, lo:hi]
@@ -356,65 +363,41 @@ def _multiply(buf, mult, lo, hi):
     np.multiply(rows, mult[lo:hi], out=rows)
 
 
-def _passes(spec: np.ndarray, L: float, which: int, run):
-    """The passes of T (which=0) or S (which=1) between the row passes, in
-    place on the `_spectrum` spec after its forward row pass, each through
-    run: the forward column pass, the multiplier (over the buffers' rows)
-    and the inverse column pass. Returns the slug correction's factor c,
-    from the mass."""
-    n = spec.shape[0]
-    run(_column_pass, n, fft.fft, spec)
-    c = spec[0, 0] * (2.0 * L / n) ** 2 * _slug(L, n)[2]  # the zero frequency is the mass
-    run(_multiply, n, spec.base, _kernels(L, n)[which].base)
-    run(_column_pass, n, fft.ifft, spec)
-    return c
-
-
-def _slug_carried(data: np.ndarray, L: float, which: int, band: slice):
-    """T (which=0) or S (which=1) of data as a new contiguous grid; unchecked:
-    data must vanish off `band` rows. The last pass runs out of place, and
-    c R_X is formed in the spectrum's buffer, which that pass left free.
-    Each pass runs through the grid's `_runner`."""
-    n = data.shape[0]
-    run, spec = _runner(n), _spectrum(n)
-    run(_forward_rows, band.stop - band.start, data[band], spec[band])
-    c = _passes(spec, L, which, run)
-    out = np.empty((n, n), dtype=complex)
-    run(_carried_rows, n, spec, c, _slug(L, n)[which], out)
-    return out
-
-
-def _carried_rows(spec, c, R, out, lo, hi):
-    """The inverse row pass over the rows lo:hi of spec, into those of out,
-    plus c R: c R is formed in those rows' buffer, which the pass left free."""
-    rows = out[lo:hi]
-    fft.ifft(spec[lo:hi], axis=1, out=rows)
-    free = spec.base[lo:hi].reshape(-1)[:rows.size].reshape(rows.shape)
-    rows += np.multiply(c, R[lo:hi], out=free)
-
-
 class _BoxTransform:
-    """T (which=0) or S (which=1) on a fixed box of the (L, n) grid, unchecked,
-    for repeated calls: the spectrum, the box of R_X (contiguous) and a
-    buffer for c R_X are made once, so that a call allocates nothing."""
+    """T (which=0) or S (which=1) of the (L, n) grid, unchecked, from the box
+    `box` (rows, cols) onto the box `out_box`, by default `box`. The spectrum
+    and the output box of R_X (contiguous) are made once, for repeated calls.
+    An output box of whole rows takes the inverse row pass out of place and
+    forms c R_X in the spectrum rows that pass frees; any other box keeps a
+    buffer of its own for c R_X."""
 
-    def __init__(self, L: float, n: int, which: int, box):
+    def __init__(self, L: float, n: int, which: int, box, out_box=None):
         self.L, self.which = L, which
-        self.box = tuple(slice(*line.indices(n)[:2]) for line in box)
+        self.box, self.out_box = (tuple(slice(*line.indices(n)[:2]) for line in b)
+                                  for b in (box, out_box or box))
         self.spec = _spectrum(n)
-        self.R = np.ascontiguousarray(_slug(L, n)[which][box])
-        self.cR = np.empty_like(self.R)
+        self.R = np.ascontiguousarray(_slug(L, n)[which][self.out_box])
+        self.cR = None if self.out_box[1] == slice(0, n) else np.empty_like(self.R)
 
-    def __call__(self, omega: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The transform, on the box and into `out`, of the grid that holds
-        the box-shaped omega on the box and zero elsewhere. omega is copied
-        into the spectrum and the zeros around it are written again, so that
-        the row passes run in place, the inverse one over the box's rows.
-        Each phase runs through the grid's `_runner`."""
-        run = _runner(self.spec.shape[0])
+    def __call__(self, omega: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The transform on the output box, into `out` (by default a new
+        contiguous array, made after the column passes), of the grid that
+        holds the box-shaped omega on the box and zero elsewhere. omega is
+        copied into the spectrum and the zeros around it are written again,
+        so that the forward row pass runs in place over the box's rows; the
+        inverse one runs over the output box's rows. Each phase runs through
+        the grid's `_runner`."""
+        L, spec = self.L, self.spec
+        n = spec.shape[0]
+        run = _runner(n)
         run(self._forward_rows, len(omega), omega)
-        c = _passes(self.spec, self.L, self.which, run)
-        run(self._inverse_rows, len(omega), c, out)
+        run(_column_pass, n, fft.fft, spec)
+        c = spec[0, 0] * (2.0 * L / n) ** 2 * _slug(L, n)[2]  # the zero frequency is the mass
+        run(_multiply, n, spec.base, _kernels(L, n)[self.which].base)
+        run(_column_pass, n, fft.ifft, spec)
+        if out is None:
+            out = np.empty(self.R.shape, dtype=complex)
+        run(self._inverse_rows, len(out), c, out)
         return out
 
     def _forward_rows(self, omega, lo, hi):
@@ -434,26 +417,39 @@ class _BoxTransform:
         fft.fft(band, axis=1, out=band)
 
     def _inverse_rows(self, c, out, lo, hi):
-        """The inverse row pass over the box's rows lo:hi, and the transform
-        on them, with c R_X, into the rows lo:hi of out."""
-        (rows, cols), spec = self.box, self.spec
-        band = spec[rows.start + lo:rows.start + hi]
-        fft.ifft(band, axis=1, out=band)
-        out_rows = out[lo:hi]
-        out_rows[...] = band[:, cols]
-        out_rows += np.multiply(c, self.R[lo:hi], out=self.cR[lo:hi])
+        """The inverse row pass over the output box's rows lo:hi, and the
+        transform on them, with c R_X, into the rows lo:hi of out."""
+        rows, cols = self.out_box
+        band, out_rows = self.spec[rows.start + lo:rows.start + hi], out[lo:hi]
+        if self.cR is None:  # whole rows: the pass empties these spectrum rows
+            fft.ifft(band, axis=1, out=out_rows)
+            free = self.spec.base[rows.start + lo:rows.start + hi].reshape(-1)
+            cR = free[:out_rows.size].reshape(out_rows.shape)
+        else:
+            fft.ifft(band, axis=1, out=band)
+            out_rows[...] = band[:, cols]
+            cR = self.cR[lo:hi]
+        out_rows += np.multiply(c, self.R[lo:hi], out=cR)
+
+
+def _checked(omega: GridField, which: int) -> np.ndarray:
+    """T (which=0) or S (which=1) of omega on the whole grid, from the band of
+    rows that hold a nonzero sample, after the support check. The transform
+    and its spectrum go with this call, so the finiteness check of the
+    caller's GridField does not add to the call's peak memory."""
+    band, _ = _check_support(omega.data, omega.L)
+    whole = slice(None)
+    return _BoxTransform(omega.L, omega.n, which, (band, whole), (whole, whole))(omega.data[band])
 
 
 def cauchy_transform(omega: GridField) -> GridField:
     """T omega with dbar(T omega) = omega and decay at infinity."""
-    band, _ = _check_support(omega.data, omega.L)
-    return GridField(omega.L, _slug_carried(omega.data, omega.L, 0, band))
+    return GridField(omega.L, _checked(omega, 0))
 
 
 def beurling_transform(omega: GridField) -> GridField:
     """S omega = d(T omega); unimodular multiplier, L2 isometry on mean-zero input."""
-    band, _ = _check_support(omega.data, omega.L)
-    return GridField(omega.L, _slug_carried(omega.data, omega.L, 1, band))
+    return GridField(omega.L, _checked(omega, 1))
 
 
 def derivatives(f: GridField, method: str = "spectral") -> DerivativePair:

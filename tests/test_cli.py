@@ -644,7 +644,10 @@ def test_bad_input_exits_1(argv, message, tmp_path, capsys):
      "{path}: support_radius must be positive and finite, got nan"),
     ('mu = "0.5"\nsupport_radius = inf\n',
      "{path}: support_radius must be positive and finite, got inf"),
-], ids=["zero-support", "no-mu", "overflow", "unknown-identifier", "nan-support", "inf-support"])
+    # a spec that parses but is refused by the ellipticity check before the ladder
+    ('mu = "1.5"\nsupport_radius = 1\n', "spec: |mu|+|nu| >= 1 on 100.0% of the support"),
+], ids=["zero-support", "no-mu", "overflow", "unknown-identifier", "nan-support", "inf-support",
+        "not-elliptic"])
 def test_bad_spec_file_exits_1_before_any_archive(text, message, tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
@@ -665,17 +668,21 @@ def test_bad_spec_file_exits_1_before_any_archive(text, message, tmp_path, capsy
     (["example", "--skip-solve", "--delta", "0.003"],
      "divergence integral: delta = 0.003, but delta must exceed 0.00390625 "
      "to leave 5 eps values below it"),
-], ids=["z0", "catalog-parameter", "probe-outside-support", "example-delta"])
-def test_bad_cli_value_names_its_input(argv, message, tmp_path, capsys):
-    capsys.readouterr()
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
-    # a usage error prints the usage lines first; the last line is the error
-    captured = capsys.readouterr()
-    last = captured.err.splitlines()[-1]
-    assert last.startswith("error:") and last.endswith(message)
-    # the value is refused before a line is printed or the --out directory made
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
+    # verify writes into the archive by default, which must not be made
+    (["verify", "--archive", "missing"], "No such file or directory: 'missing/meta.json'"),
+], ids=["z0", "catalog-parameter", "probe-outside-support", "example-delta", "missing-archive"])
+def test_bad_cli_value_names_its_input(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for out in (["--out", str(tmp_path / "out")], []):  # a given and a default directory
+        capsys.readouterr()
+        assert run(argv + out) == 1
+        # a usage error prints the usage lines first; the last line is the error
+        captured = capsys.readouterr()
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error:") and last.endswith(message)
+        # the value is refused before a line is printed or an output directory made
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
 
 
 def _drop_normalization(meta):
@@ -760,10 +767,11 @@ def test_malformed_archive_exits_1(corrupt, message, tmp_path, capsys):
     text = corrupt(meta)
     (out / "meta.json").write_text(json.dumps(meta) if text is None else text)
     capsys.readouterr()
-    assert run(["verify", "--archive", str(out)]) == 1
+    assert run(["verify", "--archive", str(out), "--out", str(tmp_path / "report")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("cut", [

@@ -179,13 +179,13 @@ def test_fully_truncated_problem_makes_no_transform(monkeypatch, start):
     # fixed point; f = z and fz = scale are the bits the transforms would give
     prob, cfg = fully_truncated_problem(), SolverConfig(grid_n=64, box=L)
     omega0 = None if start == "cold" else 0.5 * disk_indicator(64)
-    carried = []
-    for owner, name in ((transforms, "_slug_carried"), (transforms._BoxTransform, "__call__")):
-        def counted(*args, transform=getattr(owner, name)):
-            carried.append(None)
-            return transform(*args)
+    carried, transform = [], transforms._BoxTransform.__call__
 
-        monkeypatch.setattr(owner, name, counted)
+    def counted(*args):  # every transform, public or unchecked
+        carried.append(None)
+        return transform(*args)
+
+    monkeypatch.setattr(transforms._BoxTransform, "__call__", counted)
     sol = solve_linear(prob, cfg, omega0=omega0)
     assert sol.trace.steps == (1 if omega0 is None else 2)
     assert carried == []
@@ -288,8 +288,10 @@ def test_non_finite_array_step_raises_at_that_step(monkeypatch, k):
         transforms_done = []
         transform = transforms._BoxTransform.__call__
 
-        def poisoned(*args):
-            out = transform(*args)
+        def poisoned(on_box, omega, out=None):  # unchecked calls only: those with an out
+            if out is None:
+                return transform(on_box, omega)
+            transform(on_box, omega, out)
             transforms_done.append(None)
             if len(transforms_done) == k - 1:
                 out[:] = np.nan

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from beltrami_lab.transforms import (
     _check_support,
     _kernels,
     _slug,
-    _slug_carried,
     _spectrum,
     beurling_transform,
     cauchy_transform,
@@ -249,21 +249,24 @@ def test_in_place_passes_leave_inputs_and_caches_alone(field):
         assert np.abs(first - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
-        # the unchecked transforms: the same bits for any band that covers
-        # the occupied rows, and, from the box of omega, on any box that
-        # covers its support, call after call
+        # the unchecked transforms: from any box that covers the support of
+        # omega, the bits of the public call on any output box, call after
+        # call; an output box of whole rows (the public call's) is made anew
+        # by each call without an `out`
         band, cols = _check_support(omega.data, L)
-        whole = _slug_carried(omega.data, L, which, band)
-        assert np.array_equal(whole, first)
-        assert not np.shares_memory(whole, _slug_carried(omega.data, L, which, band))
         wide = slice(0, n) if band.start == band.stop else slice(band.start // 2, band.stop)
-        assert np.array_equal(_slug_carried(omega.data, L, which, wide), first)
-        for box in ((band, cols), (wide, slice(None)), (slice(None), slice(None))):
-            on_box = _BoxTransform(L, n, which, box)
-            out = np.empty(first[box].shape, dtype=complex)
-            for _ in range(2):
-                assert on_box(omega.data[box], out) is out
-                assert np.array_equal(out, first[box])
+        whole = (slice(None), slice(None))
+        for box in ((band, cols), (band, slice(None)), (wide, slice(None)), whole):
+            for out_box in (None, whole, (wide, slice(None)), (wide, cols)):
+                on_box = _BoxTransform(L, n, which, box, out_box)
+                want = first[box if out_box is None else out_box]
+                made = on_box(omega.data[box])
+                assert np.array_equal(made, want) and made.flags.c_contiguous
+                assert not np.shares_memory(made, on_box(omega.data[box]))
+                out = np.empty(want.shape, dtype=complex)
+                for _ in range(2):
+                    assert on_box(omega.data[box], out) is out
+                    assert np.array_equal(out, want)
     after = (omega.data, *kernels, *slug[:2])
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
@@ -284,7 +287,7 @@ def test_padded_spectrum_gives_the_bits_of_a_contiguous_one(field, monkeypatch):
 
     def transforms_of_omega():
         for which in (0, 1):
-            yield _slug_carried(omega.data, L, which, band)
+            yield (cauchy_transform, beurling_transform)[which](omega).data
             for box in boxes:
                 yield _BoxTransform(L, n, which, box)(omega.data[box],
                                                       np.empty(omega.data[box].shape, complex))
@@ -401,9 +404,10 @@ def test_split_passes_keep_the_callers_error_state(monkeypatch):
     for count in (1, 2):
         cpus(monkeypatch, count)
         with pytest.raises(RuntimeWarning):
-            _slug_carried(omega.data, L, 1, band)
-        with np.errstate(all="ignore"):
-            results.append([_slug_carried(omega.data, L, 1, band).tobytes(),
+            beurling_transform(omega)
+        with np.errstate(all="ignore"):  # as the public S takes it, which refuses the result
+            public = _BoxTransform(L, 512, 1, (band, slice(None)), (slice(None), slice(None)))
+            results.append([public(omega.data[band]).tobytes(),
                             _BoxTransform(L, 512, 1, (band, cols))(
                                 omega.data[band, cols],
                                 np.empty(omega.data[band, cols].shape, complex)).tobytes()])
@@ -471,6 +475,26 @@ def test_the_worker_holds_no_array_after_a_transform(monkeypatch):
     del on_box
     assert spectra[1]() is None
     assert result.data.flags.owndata
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("count", [1, 2])
+def test_public_transform_holds_its_spectrum_and_its_output(n, count, monkeypatch):
+    # at its peak a public T or S holds the spectrum (n + 4 samples a row) and
+    # the grid it returns, 2.01-2.05 grids: no whole-grid c R_X buffer and no copy
+    # of R_X, on one range or split over two threads
+    cpus(monkeypatch, count)
+    omega = centred_box(n)
+    for op in (cauchy_transform, beurling_transform):
+        op(omega)  # the kernels and slug corrections are cached
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            op(omega)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * n * n * 16, (op.__name__, peak / (n * n * 16))
 
 
 def test_transforms_from_several_threads_give_the_bits_of_one(monkeypatch):
